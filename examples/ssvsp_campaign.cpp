@@ -82,17 +82,15 @@ int cmdRun(int argc, char** argv) {
       .value("max-violations", &spec.maxViolations,
              "violation witnesses kept (default 4)")
       .value("reduction", &reductionName,
-             "none, symmetry or symmetry_por (default symmetry)")
+             "none or symmetry_por (default symmetry_por)")
       .value("chaos-kill-shard", &options.chaosKillShard,
              "TEST HOOK: SIGKILL the worker of this shard index once");
   args.parse(&argc, argv);
   const std::optional<Reduction> reduction =
       reductionFromString(reductionName);
   if (!reduction) {
-    std::fprintf(stderr,
-                 "ssvsp_campaign run: unknown reduction '%s' (want none, "
-                 "symmetry or symmetry_por)\n",
-                 reductionName.c_str());
+    std::fprintf(stderr, "ssvsp_campaign run: %s\n",
+                 reductionSpellingError(reductionName).c_str());
     return 2;
   }
   spec.reduction = *reduction;

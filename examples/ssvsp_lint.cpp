@@ -52,7 +52,7 @@ int usage() {
          "  lags            pending-lag menu, ':'-separated,\n"
          "                  e.g. lags=1:0 (default empty)\n"
          "  domain          value domain size (default 2)\n"
-         "  reduction       none | symmetry | symmetry_por\n"
+         "  reduction       none | symmetry_por (default none)\n"
          "  threads, chunk, maxScripts   sweep engine knobs\n"
          "--budget N        script-space size that triggers L208\n"
          "--fail-on=SEV     fail on warnings too, not just errors\n"

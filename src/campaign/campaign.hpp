@@ -54,10 +54,10 @@ struct CampaignSpec {
   int maxViolations = 4;
   /// State-space reduction the shards sweep under.  kSymmetryPor resolves
   /// the algorithm's observational footprint (src/indep) into the manifest
-  /// at creation time; reports are bit-identical across modes either way,
-  /// and the persistent memo store stays valid across modes (every key maps
-  /// to the true summary of the script it canonicalizes).
-  Reduction reduction = Reduction::kSymmetry;
+  /// at creation time; reports are bit-identical to the kNone oracle either
+  /// way, and every memo key maps to the true summary of the script it
+  /// canonicalizes.
+  Reduction reduction = Reduction::kSymmetryPor;
 };
 
 struct CampaignOptions {

@@ -159,19 +159,20 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
     return std::nullopt;
   }
   m.model = *model;
-  m.reduction = symmetry ? Reduction::kSymmetry : Reduction::kNone;
-  // Manifests written since the POR PR carry the authoritative "reduction"
-  // string; older ones only have the legacy bool mapped above.
-  if (const JsonValue* red = doc->find("reduction")) {
-    std::string name;
-    std::optional<Reduction> parsed;
-    if (readJsonString(red, &name)) parsed = reductionFromString(name);
-    if (!parsed) {
-      setError(error, "manifest: bad reduction");
-      return std::nullopt;
-    }
-    m.reduction = *parsed;
+  // The "reduction" string is authoritative.  Manifests older than it carry
+  // only the legacy bool, whose true meant the retired symmetry-only mode.
+  std::string name = symmetry ? "symmetry" : "none";
+  if (const JsonValue* red = doc->find("reduction");
+      red != nullptr && !readJsonString(red, &name)) {
+    setError(error, "manifest: bad reduction");
+    return std::nullopt;
   }
+  const std::optional<Reduction> reduction = reductionFromString(name);
+  if (!reduction) {
+    setError(error, "manifest: " + reductionSpellingError(name));
+    return std::nullopt;
+  }
+  m.reduction = *reduction;
   // POR fields are optional (absent in pre-POR manifests -> defaults).
   if (const JsonValue* fix = doc->find("decision_fix_round")) {
     int value = 0;

@@ -30,7 +30,7 @@ struct AlgorithmEntry {
   /// but not under permutations moving ids below it.  The FloodSet family
   /// is fully id-symmetric (0); A1 and its candidate hard-code the roles of
   /// p0 and p1 (2).  Consumed by ExploreSpec::symmetryFixedIds when a sweep
-  /// enables Reduction::kSymmetry (see src/explore/reduction.hpp).
+  /// enables Reduction::kSymmetryPor (see src/explore/reduction.hpp).
   int symmetryFixedIds = 0;
   RoundAutomatonFactory factory;
   /// The paper's closed-form latency bounds for this algorithm, in its

@@ -14,11 +14,11 @@
 // finished executions.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "emul/round_inbox.hpp"
 #include "rounds/round_automaton.hpp"
 #include "runtime/automaton.hpp"
 #include "runtime/executor.hpp"
@@ -44,8 +44,6 @@ class RwsEmulator : public Automaton {
   }
 
  private:
-  void finishRound(ProcessSet heard);
-
   std::unique_ptr<RoundAutomaton> inner_;
   RoundConfig cfg_;
   Value initial_;
@@ -54,8 +52,7 @@ class RwsEmulator : public Automaton {
   ProcessId self_ = kNoProcess;
   Round roundsCompleted_ = 0;
   ProcessId nextDst_ = 0;  ///< next destination in the current send phase
-  /// Messages buffered by (round, sender); consumed FIFO one-per-sender.
-  std::map<Round, std::vector<std::optional<Payload>>> buffered_;
+  RoundInbox inbox_;
   std::vector<ProcessSet> heardPerRound_;
 };
 

@@ -4,10 +4,12 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "indep/independence.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
@@ -244,6 +246,82 @@ SweepOutcome parallelSweep(
   out.scriptsMerged = pool.scriptsMerged;
   out.threadsUsed = threads;
   return out;
+}
+
+SweepContext::SweepContext(const RoundAutomatonFactory& factory,
+                           const RoundConfig& cfg, RoundModel model,
+                           std::vector<std::vector<Value>> configs,
+                           const ExploreSpec& spec)
+    : factory(factory), cfg(cfg), model(model), configs(std::move(configs)) {
+  engineOptions.horizon = spec.enumeration.horizon + spec.horizonSlack;
+  engineOptions.stopWhenAllDecided = true;
+}
+
+SweepRun runSweep(const SweepContext& ctx, const ScriptStream& stream,
+                  const ExploreSpec& spec, RunMemo* memo,
+                  const SweepLabel& label,
+                  const ArenaShardFactory& makeShard) {
+  // One execution arena per worker: engines (with their automata and
+  // buffers) live for the whole sweep, not per chunk.  The memo is shared.
+  std::unique_ptr<SymmetryGroup> group;
+  std::unique_ptr<RunMemo> ownedMemo;
+  std::optional<indep::PorSpec> por;
+  if (spec.reduction == Reduction::kNone) {
+    memo = nullptr;
+  } else {
+    group = std::make_unique<SymmetryGroup>(ctx.cfg.n, spec.symmetryFixedIds);
+    if (memo == nullptr) {
+      ownedMemo = std::make_unique<RunMemo>();
+      memo = ownedMemo.get();
+    }
+    por = porSpecFromExplore(spec);
+  }
+  std::vector<std::unique_ptr<RunExecutor>> arenas;
+  for (int w = 0; w < resolveThreads(spec.threads); ++w)
+    arenas.push_back(std::make_unique<RunExecutor>(
+        ctx.cfg, ctx.model, ctx.factory, ctx.configs, ctx.engineOptions,
+        group.get(), memo, por.has_value() ? &*por : nullptr));
+
+  obs::ProgressMeter::Options progressOpt;
+  progressOpt.intervalSec = spec.progressIntervalSec >= 0
+                                ? spec.progressIntervalSec
+                                : obs::progressIntervalFromEnv();
+  progressOpt.label = label.progress;
+  if (progressOpt.intervalSec > 0) {
+    // The total is the SLICE the sweep actually executes, not the whole
+    // stream — a shard worker's ETA would otherwise be pessimistic by the
+    // shard count.
+    progressOpt.totalScripts = spec.shard.countWithin(label.streamScripts());
+    progressOpt.memoHits = [&arenas] {
+      std::int64_t hits = 0;
+      for (const auto& arena : arenas) hits += arena->runsFromMemoNow();
+      return hits;
+    };
+    progressOpt.memoRequests = [&arenas] {
+      std::int64_t requests = 0;
+      for (const auto& arena : arenas) requests += arena->runsRequestedNow();
+      return requests;
+    };
+  }
+  obs::ProgressMeter progress(std::move(progressOpt));
+
+  SweepOutcome outcome;
+  {
+    OBS_SPAN(label.span);
+    outcome = parallelSweep(
+        stream, spec,
+        [&](int worker) {
+          return makeShard(*arenas[static_cast<std::size_t>(worker)]);
+        },
+        progress.enabled() ? &progress : nullptr);
+  }
+  progress.finish();
+
+  SweepRun run{std::move(outcome.merged), outcome.scriptsMerged, {}};
+  for (const auto& arena : arenas) run.stats.add(arena->stats());
+  run.stats.memoEntries = memo != nullptr ? memo->size() : 0;
+  run.stats.publish(obs::metrics());
+  return run;
 }
 
 }  // namespace ssvsp

@@ -26,10 +26,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "explore/reduction.hpp"
 #include "explore/spec.hpp"
 #include "obs/progress.hpp"
+#include "rounds/engine.hpp"
 #include "rounds/failure_script.hpp"
+#include "rounds/round_automaton.hpp"
 
 namespace ssvsp {
 
@@ -96,5 +100,60 @@ SweepOutcome parallelSweep(
     const ScriptStream& stream, const ExploreSpec& spec,
     const std::function<std::unique_ptr<SweepShard>(int worker)>& makeShard,
     obs::ProgressMeter* progress = nullptr);
+
+/// The read-only world every shard of one run-executing sweep shares: the
+/// algorithm, the system, the initial configurations each script is crossed
+/// with, and the engine options they run under (the spec's enumeration
+/// horizon + slack, stopping once every alive process decided — decisions
+/// are final, and the early stop makes exhaustive sweeps ~2x faster).  The
+/// factory must be callable concurrently (see rounds/round_automaton.hpp).
+struct SweepContext {
+  SweepContext(const RoundAutomatonFactory& factory, const RoundConfig& cfg,
+               RoundModel model, std::vector<std::vector<Value>> configs,
+               const ExploreSpec& spec);
+
+  const RoundAutomatonFactory& factory;
+  const RoundConfig& cfg;
+  RoundModel model;
+  std::vector<std::vector<Value>> configs;
+  RoundEngineOptions engineOptions;
+};
+
+/// How runSweep reports itself.  `span` must outlive the trace session (a
+/// string literal); `streamScripts` counts the WHOLE stream and is called
+/// only when the stderr progress line is on, since counting may cost an
+/// extra enumeration pass.
+struct SweepLabel {
+  const char* progress;  ///< progress-line label, e.g. "mc"
+  const char* span;      ///< trace span around the sweep, e.g. "mc.sweep"
+  std::function<std::int64_t()> streamScripts;
+};
+
+struct SweepRun {
+  /// The merged shard, as in SweepOutcome.
+  std::unique_ptr<SweepShard> merged;
+  std::int64_t scriptsMerged = 0;
+  /// Execution counters summed over the workers' arenas (memoEntries = the
+  /// memo's final size), already published under sweep.* in obs::metrics().
+  SweepRunStats stats;
+};
+
+/// Builds a chunk's shard around the executing worker's arena.
+using ArenaShardFactory =
+    std::function<std::unique_ptr<SweepShard>(RunExecutor& arena)>;
+
+/// The one run-executing sweep: parallelSweep over `stream` with one
+/// RunExecutor arena per worker (pooled engines, checkpoint resume and,
+/// unless spec.reduction is kNone, the symmetry_por memo shared by all
+/// workers), a progress meter fed the arenas' memo counters, and the
+/// aggregated SweepRunStats published at the end.  `memo` is an external
+/// memo to recall and publish through (a persistent MemoStore, say); null
+/// gives the sweep a private one.  Ignored under Reduction::kNone.
+/// Shards only consume RunSummary values, which the memo keeps invariant,
+/// so what they fold is identical with reduction on or off.
+SweepRun runSweep(const SweepContext& ctx, const ScriptStream& stream,
+                  const ExploreSpec& spec, RunMemo* memo,
+                  const SweepLabel& label,
+                  const ArenaShardFactory& makeShard);
 
 }  // namespace ssvsp

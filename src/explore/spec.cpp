@@ -23,6 +23,14 @@ std::vector<ShardRange> planShardRanges(std::int64_t totalScripts,
   return plan;
 }
 
+std::string reductionSpellingError(std::string_view s) {
+  if (s == "symmetry")
+    return "reduction 'symmetry' was retired; use symmetry_por (the same "
+           "reports from fewer engine runs) or none (the unreduced oracle)";
+  return "unknown reduction '" + std::string(s) +
+         "' (want none or symmetry_por)";
+}
+
 int resolveThreads(int threads) {
   if (threads > 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();

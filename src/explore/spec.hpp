@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -39,52 +40,46 @@ struct EnumOptions {
 
 /// State-space reduction strategy for a sweep (src/explore/reduction.hpp).
 enum class Reduction {
-  /// Execute every (script, config) pair directly.
+  /// Execute every (script, config) pair directly — the reference oracle
+  /// every reduced sweep is tested against.
   kNone,
-  /// Memoize runs modulo process-id permutations: pairs in the same orbit
-  /// under the permutations fixing [0, symmetryFixedIds) share one
-  /// execution.  Sound only for id-symmetric algorithms (see
-  /// AlgorithmEntry::symmetryFixedIds); results are bit-identical to kNone
-  /// by construction — the sweep still visits every pair, only the engine
-  /// work is deduplicated.
-  kSymmetry,
-  /// kSymmetry composed with the static independence analysis (src/indep):
+  /// Memoize runs modulo process-id permutations and the static
+  /// independence analysis (src/indep).  Pairs in the same orbit under the
+  /// permutations fixing [0, symmetryFixedIds) share one execution, and
   /// before symmetry canonicalization each script is mapped to the
   /// representative of its observational-equivalence class
   /// (indep::ScriptNormalizer), so schedules that differ only in choices
   /// the algorithm cannot observe — deliveries past the declared
   /// decision-fix round, toward crashed receivers, past the engine horizon,
-  /// FIFO-tied arrival orders — share one engine execution on top of the
-  /// orbit collapse.  Same bit-identity contract as kSymmetry: the
-  /// enumerated stream, script indices and per-run folds never change,
-  /// only executions are deduplicated.  Uses `decisionFixRound` (resolved
-  /// from the AlgorithmEntry footprint, see indep::porSpecFor) for the
+  /// FIFO-tied arrival orders — share one engine execution too.  Sound only
+  /// for id-symmetric algorithms (see AlgorithmEntry::symmetryFixedIds);
+  /// results are bit-identical to kNone by construction — the enumerated
+  /// stream, script indices and per-run folds never change, only
+  /// executions are deduplicated.  Uses `decisionFixRound` (resolved from
+  /// the AlgorithmEntry footprint, see indep::porSpecFor) for the
   /// decision-horizon rules; kNoRound keeps the algorithm-independent
   /// structural rules only.
   kSymmetryPor,
 };
 
 /// The spelling used by sweep specs, CLI flags and the campaign manifest:
-/// "none" / "symmetry" / "symmetry_por".
+/// "none" / "symmetry_por".
 constexpr std::string_view toString(Reduction reduction) {
-  switch (reduction) {
-    case Reduction::kNone:
-      return "none";
-    case Reduction::kSymmetry:
-      return "symmetry";
-    case Reduction::kSymmetryPor:
-      return "symmetry_por";
-  }
-  return "none";
+  return reduction == Reduction::kSymmetryPor ? "symmetry_por" : "none";
 }
 
-/// Inverse of toString(Reduction); nullopt on an unknown spelling.
+/// Inverse of toString(Reduction); nullopt on any other spelling.
 constexpr std::optional<Reduction> reductionFromString(std::string_view s) {
   if (s == "none") return Reduction::kNone;
-  if (s == "symmetry") return Reduction::kSymmetry;
   if (s == "symmetry_por") return Reduction::kSymmetryPor;
   return std::nullopt;
 }
+
+/// Why reductionFromString refused `s` — the one message the spec parser,
+/// the CLI flags and the campaign manifest reader report.  The retired
+/// symmetry-only mode ("symmetry") is named with its replacement, so an old
+/// spec or manifest is refused instead of silently reinterpreted.
+std::string reductionSpellingError(std::string_view s);
 
 /// A contiguous slice of the canonical script stream — the unit of work the
 /// campaign layer (src/campaign) addresses, schedules across processes and
@@ -118,7 +113,7 @@ std::vector<ShardRange> planShardRanges(std::int64_t totalScripts,
 struct ExploreSpec {
   EnumOptions enumeration;  ///< script space (exhaustive mode)
   int valueDomain = 2;      ///< initial configs drawn from [0, valueDomain)
-  /// State-space reduction; kSymmetry needs `symmetryFixedIds` to cover
+  /// State-space reduction; kSymmetryPor needs `symmetryFixedIds` to cover
   /// every process id the algorithm treats specially.
   Reduction reduction = Reduction::kNone;
   /// Leading process ids NOT permuted by symmetry reduction (the ids the
@@ -127,8 +122,8 @@ struct ExploreSpec {
   /// kSymmetryPor only: round by which every process's decision is fixed
   /// in every admissible run, resolved from the algorithm's declared
   /// footprint at f = t (indep::resolveDecisionFixRound); kNoRound = no
-  /// declared bound — POR keeps only its structural rules.  Ignored by the
-  /// other reduction modes.
+  /// declared bound — POR keeps only its structural rules.  Ignored by
+  /// kNone.
   Round decisionFixRound = kNoRound;
   /// kSymmetryPor only: the SSVSP_CHECK replay tripwire — every Nth memo
   /// hit whose script was POR-collapsed is re-executed fresh and compared

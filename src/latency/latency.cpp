@@ -11,8 +11,8 @@
 #include "explore/reduction.hpp"
 #include "indep/independence.hpp"
 #include "lint/lint.hpp"
+#include "mc/checker.hpp"
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
 #include "rounds/adversary.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -80,15 +80,11 @@ std::optional<LatencyProfile> LatencyProfile::fromJson(const JsonValue& doc,
 
 namespace {
 
-/// Read-only context shared by every shard of one profile.  The factory
-/// must be callable concurrently (see rounds/round_automaton.hpp).
-struct LatContext {
-  const RoundAutomatonFactory& factory;
-  const RoundConfig& cfg;
-  RoundModel model;
-  std::vector<std::vector<Value>> configs;
-  RoundEngineOptions engineOpt;
-};
+/// lat(A, C) accumulates "min over runs": kNoRound means no deciding run
+/// seen yet, so it never wins.
+void foldMin(Round& into, Round lat) {
+  if (lat != kNoRound && (into == kNoRound || lat < into)) into = lat;
+}
 
 /// One shard of the latency sweep.  All aggregates are per-config minima
 /// and per-crash-count maxima (with kNoRound = infinity), so merging two
@@ -96,7 +92,7 @@ struct LatContext {
 /// split — the profile is thread-count-invariant.
 class LatShard : public SweepShard {
  public:
-  LatShard(const LatContext& ctx, RunExecutor* executor)
+  LatShard(const SweepContext& ctx, RunExecutor& executor)
       : ctx_(ctx),
         executor_(executor),
         minPerConfig_(ctx.configs.size(), kNoRound) {}
@@ -105,38 +101,19 @@ class LatShard : public SweepShard {
     const int crashes = script.numCrashes();
     for (std::size_t ci = 0; ci < ctx_.configs.size(); ++ci) {
       ++runsExecuted_;
-      const Round lr = executor_->run(script, scriptIndex, ci).latency;
-
-      Round& cmin = minPerConfig_[ci];
-      if (lr != kNoRound && (cmin == kNoRound || lr < cmin)) cmin = lr;
-
-      auto [it, inserted] = worstByExactCrashes_.try_emplace(crashes, lr);
-      if (!inserted) {
-        if (lr == kNoRound || it->second == kNoRound)
-          it->second = kNoRound;
-        else
-          it->second = std::max(it->second, lr);
-      }
+      const Round lr = executor_.run(script, scriptIndex, ci).latency;
+      foldMin(minPerConfig_[ci], lr);
+      foldWorst(worstByExactCrashes_, crashes, lr);
     }
   }
 
   void mergeFrom(SweepShard& from) override {
     LatShard& other = static_cast<LatShard&>(from);
     runsExecuted_ += other.runsExecuted_;
-    for (std::size_t ci = 0; ci < minPerConfig_.size(); ++ci) {
-      const Round omin = other.minPerConfig_[ci];
-      Round& cmin = minPerConfig_[ci];
-      if (omin != kNoRound && (cmin == kNoRound || omin < cmin)) cmin = omin;
-    }
-    for (const auto& [crashes, lr] : other.worstByExactCrashes_) {
-      auto [it, inserted] = worstByExactCrashes_.try_emplace(crashes, lr);
-      if (!inserted) {
-        if (lr == kNoRound || it->second == kNoRound)
-          it->second = kNoRound;
-        else
-          it->second = std::max(it->second, lr);
-      }
-    }
+    for (std::size_t ci = 0; ci < minPerConfig_.size(); ++ci)
+      foldMin(minPerConfig_[ci], other.minPerConfig_[ci]);
+    for (const auto& [crashes, lr] : other.worstByExactCrashes_)
+      foldWorst(worstByExactCrashes_, crashes, lr);
   }
 
   /// Folds the accumulated minima/maxima into the profile's degrees.
@@ -147,8 +124,7 @@ class LatShard : public SweepShard {
     // lat(A) = min over configs of lat(A, C);  Lat(A) = max over configs.
     profile.latMax = 0;
     for (Round cmin : minPerConfig_) {
-      if (cmin != kNoRound && (profile.lat == kNoRound || cmin < profile.lat))
-        profile.lat = cmin;
+      foldMin(profile.lat, cmin);
       if (cmin == kNoRound)
         profile.latMax = kNoRound;  // some config never yields a deciding run
       else if (profile.latMax != kNoRound)
@@ -171,8 +147,8 @@ class LatShard : public SweepShard {
   }
 
  private:
-  const LatContext& ctx_;
-  RunExecutor* executor_;  ///< the owning worker's arena; visit()-only
+  const SweepContext& ctx_;
+  RunExecutor& executor_;  ///< the owning worker's arena; visit()-only
   std::int64_t runsExecuted_ = 0;
   /// lat(A, C) per configuration index; latencies here are "min over runs",
   /// so start at kNoRound (no run seen yet).
@@ -218,12 +194,9 @@ LatencyProfile measureLatency(const RoundAutomatonFactory& factory,
   // specs with structured diagnostics before any worker spawns.
   preflightSweep(cfg, model, options);
 
-  LatContext ctx{factory, cfg, model,
-                 allInitialConfigs(cfg.n, options.valueDomain),
-                 RoundEngineOptions{}};
-  ctx.engineOpt.horizon = options.enumeration.horizon + options.horizonSlack;
-  ctx.engineOpt.stopWhenAllDecided = true;
-
+  const SweepContext ctx(factory, cfg, model,
+                         allInitialConfigs(cfg.n, options.valueDomain),
+                         options);
   ScriptStream stream;
   if (options.exhaustive) {
     stream = [&](const std::function<bool(const FailureScript&)>& fn) {
@@ -248,69 +221,19 @@ LatencyProfile measureLatency(const RoundAutomatonFactory& factory,
     };
   }
 
-  // One execution arena per worker, exactly like modelCheckConsensus.
-  std::unique_ptr<SymmetryGroup> group;
-  std::unique_ptr<RunMemo> memo;
-  std::optional<indep::PorSpec> por;
-  if (options.reduction != Reduction::kNone) {
-    group = std::make_unique<SymmetryGroup>(cfg.n, options.symmetryFixedIds);
-    memo = std::make_unique<RunMemo>();
-    if (options.reduction == Reduction::kSymmetryPor)
-      por = porSpecFromExplore(options);
-  }
-  std::vector<std::unique_ptr<RunExecutor>> arenas;
-  for (int w = 0; w < resolveThreads(options.threads); ++w)
-    arenas.push_back(std::make_unique<RunExecutor>(
-        cfg, model, factory, ctx.configs, ctx.engineOpt, group.get(),
-        memo.get(), por.has_value() ? &*por : nullptr));
+  SweepRun sweep = runSweep(
+      ctx, stream, options, /*memo=*/nullptr,
+      {"latency", "latency.sweep",
+       [&] {
+         return options.exhaustive
+                    ? countScripts(cfg, model, options.enumeration)
+                    : std::int64_t{options.samples} + cfg.t + 1;
+       }},
+      [&](RunExecutor& arena) {
+        return std::make_unique<LatShard>(ctx, arena);
+      });
 
-  obs::ProgressMeter::Options progressOpt;
-  progressOpt.intervalSec = options.progressIntervalSec >= 0
-                                ? options.progressIntervalSec
-                                : obs::progressIntervalFromEnv();
-  progressOpt.label = "latency";
-  if (progressOpt.intervalSec > 0) {
-    // Totals count the SLICE the sweep executes (see ExploreSpec::shard),
-    // so shard workers report honest ETAs.
-    if (options.exhaustive) {
-      progressOpt.totalScripts = options.shard.countWithin(
-          countScripts(cfg, model, options.enumeration));
-    } else {
-      progressOpt.totalScripts = options.shard.countWithin(
-          static_cast<std::int64_t>(options.samples) + cfg.t + 1);
-    }
-    progressOpt.memoHits = [&arenas] {
-      std::int64_t hits = 0;
-      for (const auto& arena : arenas) hits += arena->runsFromMemoNow();
-      return hits;
-    };
-    progressOpt.memoRequests = [&arenas] {
-      std::int64_t requests = 0;
-      for (const auto& arena : arenas) requests += arena->runsRequestedNow();
-      return requests;
-    };
-  }
-  obs::ProgressMeter progress(std::move(progressOpt));
-
-  SweepOutcome outcome;
-  {
-    OBS_SPAN("latency.sweep");
-    outcome = parallelSweep(
-        stream, options,
-        [&](int worker) {
-          return std::make_unique<LatShard>(
-              ctx, arenas[static_cast<std::size_t>(worker)].get());
-        },
-        progress.enabled() ? &progress : nullptr);
-  }
-  progress.finish();
-
-  SweepRunStats agg;
-  for (const auto& arena : arenas) agg.add(arena->stats());
-  agg.memoEntries = memo != nullptr ? memo->size() : 0;
-  agg.publish(obs::metrics());
-
-  LatencyProfile profile = static_cast<LatShard&>(*outcome.merged).finish();
+  LatencyProfile profile = static_cast<LatShard&>(*sweep.merged).finish();
   obs::metrics().counter("latency.runs").add(profile.runsExecuted);
   return profile;
 }

@@ -403,17 +403,12 @@ bool parseSweepSpecText(const std::string& text, RoundConfig* cfg,
       } else if (key == "maxScripts") {
         spec->enumeration.maxScripts = std::stoll(value);
       } else if (key == "reduction") {
-        if (value == "none") {
-          spec->reduction = Reduction::kNone;
-        } else if (value == "symmetry") {
-          spec->reduction = Reduction::kSymmetry;
-        } else if (value == "symmetry_por") {
-          spec->reduction = Reduction::kSymmetryPor;
-        } else {
-          *problem = "unknown reduction '" + value +
-                     "' (want none, symmetry or symmetry_por)";
+        const std::optional<Reduction> reduction = reductionFromString(value);
+        if (!reduction) {
+          *problem = reductionSpellingError(value);
           return false;
         }
+        spec->reduction = *reduction;
       } else if (key == "domain") {
         spec->valueDomain = std::stoi(value);
       } else if (key == "threads") {

@@ -75,6 +75,11 @@ struct McReport {
                                           std::string* error = nullptr);
 };
 
+/// Reduces one (crashes -> latency) entry into a worst-latency map: kNoRound
+/// is infinity, so it absorbs.  The fold behind McReport's and
+/// LatencyProfile's per-crash-count worst cases.
+void foldWorst(std::map<int, Round>& into, int crashes, Round lat);
+
 /// Folds `from` — an McReport over the script range immediately after
 /// `into`'s — into `into`: counters add, violations append up to
 /// `maxViolations` (preserving canonical run order), the latency maps reduce
@@ -101,7 +106,7 @@ struct McCheckOptions : ExploreSpec {
   /// McReport stays bit-identical across reduction modes and thread counts,
   /// these counters legitimately do not.
   SweepRunStats* runStats = nullptr;
-  /// External run memo: when non-null (and reduction is kSymmetry), the
+  /// External run memo: when non-null (and reduction is not kNone), the
   /// sweep recalls and publishes RunSummary values through this memo
   /// instead of a sweep-local one.  The campaign layer passes its
   /// persistent MemoStore here, so executions are shared across worker

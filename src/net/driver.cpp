@@ -22,16 +22,6 @@ std::string frameRound(Round round, const std::optional<Payload>& body) {
   return out;
 }
 
-// Buffered form: hasBody marker word, then the body — present slot = heard,
-// marker distinguishes a heard-but-null message from silence.
-Payload storeBody(bool hasBody, const Payload& body) {
-  Payload stored;
-  stored.reserve(body.size() + 1);
-  stored.push_back(hasBody ? 1 : 0);
-  stored.insert(stored.end(), body.begin(), body.end());
-  return stored;
-}
-
 }  // namespace
 
 RwsFromSpDriver::RwsFromSpDriver(std::unique_ptr<RoundAutomaton> inner,
@@ -43,7 +33,8 @@ RwsFromSpDriver::RwsFromSpDriver(std::unique_ptr<RoundAutomaton> inner,
       self_(self),
       maxRounds_(maxRounds),
       link_(link),
-      plan_(plan) {
+      plan_(plan),
+      inbox_(cfg.n) {
   SSVSP_CHECK(inner_ != nullptr);
   SSVSP_CHECK(cfg.n >= 1 && cfg.n <= kMaxProcs);
   SSVSP_CHECK(self >= 0 && self < cfg.n);
@@ -58,13 +49,12 @@ bool RwsFromSpDriver::onPayload(ProcessId from, std::string_view payload) {
   const bool hasBody = r.getU8() != 0;
   Payload body;
   while (r.ok() && !r.exhausted()) body.push_back(r.getI32());
-  if (!r.ok() || round < 1 || from < 0 || from >= cfg_.n) return true;
-  auto& slots = buffered_[round];
-  if (slots.empty())
-    slots.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-  SSVSP_CHECK_MSG(!slots[static_cast<std::size_t>(from)].has_value(),
-                  "duplicate round " << round << " message from p" << from);
-  slots[static_cast<std::size_t>(from)] = storeBody(hasBody, body);
+  if (!r.ok() || round < 1 || from < 0 || from >= cfg_.n || from == self_)
+    return true;
+  if (!inbox_.stash(round, from,
+                    hasBody ? std::optional<Payload>(std::move(body))
+                            : std::nullopt))
+    ++duplicateRoundFrames_;
   return true;
 }
 
@@ -75,11 +65,7 @@ void RwsFromSpDriver::sendRound(Round round, ProcessSet dsts) {
     if (dst == self_) {
       // The link is peer-to-peer; the self-copy short-circuits locally
       // (the simulator routes it through the executor instead).
-      auto& slots = buffered_[round];
-      if (slots.empty())
-        slots.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-      slots[static_cast<std::size_t>(self_)] =
-          storeBody(body.has_value(), body.value_or(Payload{}));
+      SSVSP_CHECK(inbox_.stash(round, self_, body));
       continue;
     }
     link_.send(dst, frameRound(round, body));
@@ -105,53 +91,13 @@ int RwsFromSpDriver::advance(ProcessSet suspected) {
       sentThisRound_ = true;
     }
 
-    // Receive guard, verbatim from RwsEmulator::onStep: for every peer, a
-    // consumable message (oldest buffered round <= current, FIFO) or a
-    // suspicion.
-    auto oldestFor = [&](ProcessId q) -> std::optional<Round> {
-      for (const auto& [r, slots] : buffered_) {
-        if (r > round) break;  // future-round messages wait their turn
-        if (slots[static_cast<std::size_t>(q)].has_value()) return r;
-      }
-      return std::nullopt;
-    };
+    // Receive guard: for every peer, a message or a suspicion.
+    if (!inbox_.ready(round, suspected)) return completed;
+    RoundInbox::Consumed in = inbox_.consume(round);
+    lateDeliveries_ += in.late;
 
-    bool guardMet = true;
-    for (ProcessId q = 0; q < cfg_.n; ++q) {
-      if (oldestFor(q).has_value()) continue;
-      if (suspected.contains(q)) continue;
-      guardMet = false;
-      break;
-    }
-    if (!guardMet) return completed;
-
-    // Consume: one message per sender, oldest round first.
-    std::vector<std::optional<Payload>> received(
-        static_cast<std::size_t>(cfg_.n));
-    ProcessSet heard;
-    for (ProcessId q = 0; q < cfg_.n; ++q) {
-      const auto src = oldestFor(q);
-      if (!src.has_value()) continue;
-      if (*src < round) ++lateDeliveries_;
-      auto& slot = buffered_[*src][static_cast<std::size_t>(q)];
-      const Payload& stored = *slot;
-      if (stored[0] != 0)
-        received[static_cast<std::size_t>(q)] =
-            Payload(stored.begin() + 1, stored.end());
-      slot.reset();
-      heard.insert(q);
-    }
-    while (!buffered_.empty()) {
-      auto it = buffered_.begin();
-      bool empty = true;
-      for (const auto& s : it->second)
-        if (s.has_value()) empty = false;
-      if (!empty || it->first > round) break;
-      buffered_.erase(it);
-    }
-
-    heardPerRound_.push_back(heard);
-    inner_->transition(received);
+    heardPerRound_.push_back(in.heard);
+    inner_->transition(in.received);
     ++roundsCompleted_;
     sentThisRound_ = false;
     ++completed;

@@ -64,24 +64,6 @@ MemoKey testKey(std::uint64_t tag) {
   return k;
 }
 
-/// The raw v1 key encoding: native-endian i64 stream [crashCount,
-/// pendingCount, tuples...] followed by 4-byte config values — what the
-/// pre-MemoKey PairCanonicalizer::key() returned and v1 logs persist.
-std::string v1KeyBytes(std::int64_t crashCount, std::int64_t pendingCount,
-                       const std::vector<std::int64_t>& tuples,
-                       const std::vector<Value>& config) {
-  std::string out;
-  const auto putI64 = [&out](std::int64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  putI64(crashCount);
-  putI64(pendingCount);
-  for (std::int64_t v : tuples) putI64(v);
-  for (Value v : config)
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  return out;
-}
-
 /// Frames one record body exactly like the store's appender.
 std::string framed(const std::string& body) {
   std::string out;
@@ -198,57 +180,29 @@ TEST_F(CampaignTest, StoreRefusesFooterCountMismatch) {
   EXPECT_NE(error.find("footer count mismatch"), std::string::npos) << error;
 }
 
-TEST_F(CampaignTest, StoreReadsV1LogsAndMixedVersionAppends) {
-  // Hand-write a v1-era log: old magic, one summary record whose key is the
-  // legacy string encoding of (no crashes, no pendings, canonical config
-  // 0,0,1 for n=3).  open() must convert it to the packed form the CURRENT
-  // canonicalizer computes for the same orbit — the conversion is what lets
-  // a warm v1 campaign store keep serving sweeps.
+TEST_F(CampaignTest, StoreRefusesV1Logs) {
+  // A v1-era log: old magic plus one intact, checksum-valid record.  open()
+  // must refuse it with an error naming the version — never replay it as
+  // an empty store, never truncate it — and compaction must refuse too.
   appendRaw(storePath(), std::string("SSVSPML1", 8));
   {
     std::string body;
     RecordWriter w(body);
-    w.putU8(1);  // kRecSummary, v1 string-key flavor
-    w.putBytes(v1KeyBytes(0, 0, {}, {0, 0, 1}));
+    w.putU8(1);  // the v1 summary record type
+    w.putBytes(std::string(16, '\0'));
     w.putU32(77).putI32(2).putU8(1);
     appendRaw(storePath(), framed(body));
   }
+  const std::int64_t size = fileSize(storePath());
 
   std::string error;
-  {
-    auto store = MemoStore::open(storePath(), &error);
-    ASSERT_NE(store, nullptr) << error;
-    EXPECT_EQ(store->openStats().entriesLoaded, 1);
-
-    // The converted key must equal what the live canonicalizer computes for
-    // the orbit of config (0,1,0) under the empty script (both minimize to
-    // config 0,0,1) — v1 tuple order and v2 word order agree.
-    const SymmetryGroup g(3, 0);
-    PairCanonicalizer canon(g);
-    canon.setScript(FailureScript{});
-    const std::optional<RunSummary> hit = store->find(canon.key({0, 1, 0}));
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->latency, 2);
-
-    // Appends to the old log use v2 records in place.
-    store->insert(testKey(9), RunSummary{4, false});
-    ASSERT_TRUE(store->appendFooter(&error)) << error;
-  }
-
-  // Mixed-version replay: v1 record, then v2 record, then a torn tail —
-  // both intact records survive, the tail is repaired away.
-  const std::int64_t intact = fileSize(storePath());
-  appendRaw(storePath(), std::string("\x2a\x00\x00\x00oops", 8));
-  auto store = MemoStore::open(storePath(), &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->openStats().entriesLoaded, 2);
-  EXPECT_EQ(store->openStats().bytesTruncated, 8);
-  EXPECT_EQ(fileSize(storePath()), intact);
-  EXPECT_TRUE(store->find(testKey(9)).has_value());
-  const SymmetryGroup g(3, 0);
-  PairCanonicalizer canon(g);
-  canon.setScript(FailureScript{});
-  EXPECT_TRUE(store->find(canon.key({0, 1, 0})).has_value());
+  EXPECT_EQ(MemoStore::open(storePath(), &error), nullptr);
+  EXPECT_NE(error.find("v1 log"), std::string::npos) << error;
+  CompactStats stats;
+  error.clear();
+  EXPECT_FALSE(compactMemoStore(storePath(), /*force=*/true, &stats, &error));
+  EXPECT_NE(error.find("v1 log"), std::string::npos) << error;
+  EXPECT_EQ(fileSize(storePath()), size);
 }
 
 TEST_F(CampaignTest, StoreRefusesUndecodableSummaryKey) {
@@ -372,37 +326,6 @@ TEST_F(CampaignTest, CompactRefusesUnsealedStoreUnlessForced) {
   EXPECT_EQ(store->openStats().entriesUnfooted, 0);
 }
 
-TEST_F(CampaignTest, CompactUpgradesV1LogsToV2) {
-  // A v1-era log (old magic, string-key record, no footer) compacts —
-  // under --force, since v1 logs predate footers — into a sealed v2 log.
-  appendRaw(storePath(), std::string("SSVSPML1", 8));
-  {
-    std::string body;
-    RecordWriter w(body);
-    w.putU8(1);  // kRecSummary, v1 string-key flavor
-    w.putBytes(v1KeyBytes(0, 0, {}, {0, 0, 1}));
-    w.putU32(77).putI32(2).putU8(1);
-    appendRaw(storePath(), framed(body));
-  }
-  std::string error;
-  CompactStats stats;
-  EXPECT_FALSE(compactMemoStore(storePath(), /*force=*/false, &stats, &error));
-  ASSERT_TRUE(compactMemoStore(storePath(), /*force=*/true, &stats, &error))
-      << error;
-  EXPECT_EQ(stats.entriesAfter, 1);
-
-  auto store = MemoStore::open(storePath(), &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->openStats().entriesLoaded, 1);
-  EXPECT_EQ(store->openStats().footersSeen, 1);
-  const SymmetryGroup g(3, 0);
-  PairCanonicalizer canon(g);
-  canon.setScript(FailureScript{});
-  const std::optional<RunSummary> hit = store->find(canon.key({0, 1, 0}));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->latency, 2);
-}
-
 TEST_F(CampaignTest, ManifestJsonRoundTrip) {
   CampaignSpec spec;
   spec.algorithm = "FloodSet";
@@ -507,13 +430,24 @@ TEST_F(CampaignTest, WarmStoreSweepExecutesZeroEngineRuns) {
   EXPECT_GT(cold.stats.runsExecuted, 0);
 
   // Drop the ledger, keep the store: every shard re-sweeps, every orbit
-  // hits, the engine never runs — and the report does not change.
+  // hits, the engine never runs — and the report does not change.  The one
+  // exception is the SSVSP_CHECK replay tripwire, which by design
+  // re-executes every Nth collapsed memo hit (N = por_replay_every, 0 when
+  // the tripwire is off).
   ASSERT_EQ(std::remove((dir_ + "/manifest.json").c_str()), 0);
   const CampaignResult warm = runCampaign(spec, options);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_GT(warm.memoEntriesLoaded, 0);
-  EXPECT_EQ(warm.stats.runsExecuted, 0);
+  EXPECT_EQ(warm.memoEntriesAppended, 0);
   EXPECT_EQ(warm.stats.runsFromMemo, warm.stats.runsRequested);
+  std::string error;
+  const auto manifest = campaignStatus(dir_, &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  const std::int64_t replays =
+      manifest->porReplayEvery > 0
+          ? warm.stats.runsFromMemo / manifest->porReplayEvery
+          : 0;
+  EXPECT_LE(warm.stats.runsExecuted + warm.stats.runsReusedInEngine, replays);
   EXPECT_EQ(warm.report.toJsonString(), cold.report.toJsonString());
 }
 
@@ -595,9 +529,9 @@ TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
   EXPECT_EQ(reparsed->reduction, Reduction::kSymmetryPor);
 
   // Resuming with a different reduction is a spec mismatch, not a silent
-  // remix of two pruning disciplines over one memo.
+  // remix of two disciplines over one memo.
   CampaignSpec other = spec;
-  other.reduction = Reduction::kSymmetry;
+  other.reduction = Reduction::kNone;
   const CampaignResult mixed = runCampaign(other, options);
   EXPECT_FALSE(mixed.ok);
   EXPECT_NE(mixed.error.find("different spec"), std::string::npos)
@@ -606,8 +540,10 @@ TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
 
 TEST_F(CampaignTest, PrePorManifestParsesWithLegacyReductionBool) {
   // Manifests written before the "reduction" string key carried only the
-  // legacy "symmetry_reduction" bool — they must still load, mapping to
-  // kSymmetry with every POR field at its default.
+  // legacy "symmetry_reduction" bool.  False still loads as the unreduced
+  // kNone with every POR field at its default; true meant the retired
+  // symmetry-only mode and is refused with an error naming the
+  // replacement, not reinterpreted.
   CampaignSpec spec;
   spec.algorithm = "FloodSet";
   spec.n = 3;
@@ -634,9 +570,17 @@ TEST_F(CampaignTest, PrePorManifestParsesWithLegacyReductionBool) {
     ASSERT_NE(begin, std::string::npos) << key;
     text.erase(begin, end - begin);
   }
+  EXPECT_FALSE(CampaignManifest::fromJsonString(text, &error).has_value());
+  EXPECT_NE(error.find("'symmetry' was retired"), std::string::npos) << error;
+  EXPECT_NE(error.find("symmetry_por"), std::string::npos) << error;
+
+  const std::string on = "\"symmetry_reduction\": true";
+  const std::size_t at = text.find(on);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, on.size(), "\"symmetry_reduction\": false");
   const auto legacy = CampaignManifest::fromJsonString(text, &error);
   ASSERT_TRUE(legacy.has_value()) << error;
-  EXPECT_EQ(legacy->reduction, Reduction::kSymmetry);
+  EXPECT_EQ(legacy->reduction, Reduction::kNone);
   EXPECT_EQ(legacy->decisionFixRound, kNoRound);
   EXPECT_EQ(legacy->porReplayEvery, 0);
   EXPECT_TRUE(legacy->porReadsAllSenders);

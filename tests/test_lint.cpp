@@ -563,12 +563,16 @@ TEST(LintSpecText, ParsesReductionModes) {
                                  &model, &spec, &problem))
       << problem;
   EXPECT_EQ(spec.reduction, Reduction::kSymmetryPor);
-  ASSERT_TRUE(parseSweepSpecText("n=3 t=1 reduction=symmetry", &cfg, &model,
-                                 &spec, &problem));
-  EXPECT_EQ(spec.reduction, Reduction::kSymmetry);
   ASSERT_TRUE(parseSweepSpecText("n=3 t=1 reduction=none", &cfg, &model,
                                  &spec, &problem));
   EXPECT_EQ(spec.reduction, Reduction::kNone);
+  // The retired symmetry-only mode is refused by name, with its
+  // replacement, not reinterpreted.
+  EXPECT_FALSE(parseSweepSpecText("n=3 t=1 reduction=symmetry", &cfg, &model,
+                                  &spec, &problem));
+  EXPECT_NE(problem.find("'symmetry' was retired"), std::string::npos)
+      << problem;
+  EXPECT_NE(problem.find("symmetry_por"), std::string::npos) << problem;
   EXPECT_FALSE(parseSweepSpecText("n=3 t=1 reduction=dpor", &cfg, &model,
                                   &spec, &problem));
   EXPECT_NE(problem.find("reduction"), std::string::npos) << problem;
