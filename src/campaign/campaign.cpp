@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -351,7 +352,11 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       return true;
     };
 
-    while (next < queue.size() || !running.empty()) {
+    // A finished shard is recorded (and the ledger fsync'd) only once the
+    // freed slot has its next shard, so the fsync overlaps shard work.  An
+    // orchestrator killed in between re-runs that one shard on resume.
+    std::optional<std::pair<std::size_t, ShardResult>> finished;
+    for (;;) {
       while (next < queue.size() &&
              running.size() < static_cast<std::size_t>(options.workers)) {
         if (!dispatch(queue[next])) {
@@ -360,6 +365,13 @@ CampaignResult runCampaign(const CampaignSpec& spec,
         }
         ++next;
       }
+      if (finished &&
+          !recordDone(finished->first, std::move(finished->second))) {
+        result.error = error;
+        return result;
+      }
+      finished.reset();
+      if (running.empty()) break;
       int status = 0;
       const pid_t pid = ::waitpid(-1, &status, 0);
       if (pid < 0) {
@@ -380,10 +392,7 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
         std::optional<ShardResult> shard = shardResultFromFile(rpath, &error);
         if (shard) {
-          if (!recordDone(index, std::move(*shard))) {
-            result.error = error;
-            return result;
-          }
+          finished.emplace(index, std::move(*shard));
           std::remove(rpath.c_str());
           recorded = true;
         }
