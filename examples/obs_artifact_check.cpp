@@ -1,7 +1,7 @@
 // obs_artifact_check: validates the artifacts written by --trace-out /
 // --metrics-out (src/obs) — the ctest half of the obs smoke leg.
 //
-//   $ ./obs_artifact_check --trace=trace.json --metrics=metrics.json \
+//   $ ./obs_artifact_check --trace=trace.json --metrics=metrics.json
 //         --expect-span=sweep.chunk --expect-counter=sweep.runs_requested
 //
 // Parses both files back through the serde JSON reader, checks the trace is

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "explore/reduction.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace ssvsp {
@@ -67,6 +68,21 @@ std::vector<std::vector<ProcessId>> crasherSets(int n, int k) {
   return {dedup.begin(), dedup.end()};
 }
 
+/// Joins `b` into `a`: earliest a minimum (kNoRound: nothing decided), latest
+/// a maximum absorbed by kNoRound (non-termination), the rest maxima.
+void join(PerBudgetBounds& a, const PerBudgetBounds& b) {
+  if (b.earliest != kNoRound &&
+      (a.earliest == kNoRound || b.earliest < a.earliest))
+    a.earliest = b.earliest;
+  a.latest = a.latest == kNoRound || b.latest == kNoRound
+                 ? kNoRound
+                 : std::max(a.latest, b.latest);
+  a.maxMsgsPerRound = std::max(a.maxMsgsPerRound, b.maxMsgsPerRound);
+  a.quiescence = std::max(a.quiescence, b.quiescence);
+  a.peakPendingInFlight = std::max(a.peakPendingInFlight,
+                                   b.peakPendingInFlight);
+}
+
 /// Per-crasher plan: one point of the per-crasher choice lattice.
 struct CrasherPlan {
   Round round = 1;
@@ -114,8 +130,8 @@ void appendCell(const RoundConfig& cfg, RoundModel model,
 
 }  // namespace
 
-std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
-                                                  RoundModel model) {
+std::vector<FailureScript> enumerateScheduleCells(
+    const RoundConfig& cfg, RoundModel model, std::optional<int> maxCrashes) {
   std::vector<FailureScript> cells;
   std::set<std::string> seen;
   cells.push_back(FailureScript{});  // the failure-free cell
@@ -139,7 +155,8 @@ std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
     }
   }
 
-  for (int k = 1; k <= cfg.t; ++k) {
+  const int budget = std::clamp(maxCrashes.value_or(cfg.t), 0, cfg.t);
+  for (int k = 1; k <= budget; ++k) {
     for (const std::vector<ProcessId>& ids : crasherSets(cfg.n, k)) {
       // Cartesian product of per-crasher plans, odometer style.
       std::vector<std::size_t> pick(static_cast<std::size_t>(k), 0);
@@ -162,88 +179,67 @@ std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
 
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
                                   const RoundConfig& cfg,
-                                  const RunObserver& observer) {
-  const std::vector<FailureScript> cells = enumerateScheduleCells(
-      cfg, entry.intendedModel);
+                                  const RunObserver& observer,
+                                  std::optional<int> maxCrashes) {
+  OBS_SPAN("analysis.interpret");
+  const int budget = std::clamp(maxCrashes.value_or(cfg.t), 0, cfg.t);
+  const std::vector<FailureScript> cells =
+      enumerateScheduleCells(cfg, entry.intendedModel, budget);
   const std::vector<std::vector<Value>> configs = canonicalConfigs(cfg.n);
 
+  // One pooled engine for every (config, cell) pair.  Only an observer gets
+  // traced deliveries; untraced runs resume from the checkpoint chain.
   RoundEngineOptions engineOpt;
   engineOpt.horizon = cfg.t + 3;
-  engineOpt.traceDeliveries = true;
+  engineOpt.traceDeliveries = static_cast<bool>(observer);
   engineOpt.stopWhenAllDecided = false;
+  RoundEngine engine(cfg, entry.intendedModel, entry.factory, engineOpt);
 
   AbstractBounds bounds;
   bounds.cfg = cfg;
   bounds.model = entry.intendedModel;
   bounds.cells = static_cast<std::int64_t>(cells.size());
+  bounds.byMaxCrashes.resize(static_cast<std::size_t>(budget) + 1);
+#if SSVSP_OBS_ENABLED
+  if (obs::tracingEnabled())
+    OBS_INSTANT(obs::internString(
+        "analysis.interpret n=" + std::to_string(cfg.n) +
+        " cells=" + std::to_string(cells.size()) +
+        " runs=" + std::to_string(cells.size() * configs.size())));
+#endif
 
-  // Joined per exact crash count first; prefixes give the <= f semantics.
-  std::vector<PerBudgetBounds> byExact(static_cast<std::size_t>(cfg.t) + 1);
-  std::vector<Round> minPerConfig(configs.size(), kNoRound);
-
-  for (const FailureScript& script : cells) {
-    const auto k = static_cast<std::size_t>(script.numCrashes());
-    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-      const RoundRunResult run = runRounds(cfg, entry.intendedModel,
-                                           entry.factory, configs[ci], script,
-                                           engineOpt);
+  // Configs outermost, in canonical order: the engine resumes within one
+  // config, and src/param's Lambda witness keeps the first worst run.
+  for (const std::vector<Value>& initial : configs) {
+    PerBudgetBounds config;  // earliest: this config's min |r|
+    for (const FailureScript& script : cells) {
+      engine.execute(initial, script);
+      const RoundRunResult& run = engine.result();
       ++bounds.runs;
       if (observer) observer(run);
 
-      const Round lr = run.latency();
-      PerBudgetBounds& agg = byExact[k];
-      if (lr != kNoRound &&
-          (agg.earliest == kNoRound || lr < agg.earliest))
-        agg.earliest = lr;
-      if (lr == kNoRound || agg.latest == kNoRound)
-        agg.latest = kNoRound;
-      else
-        agg.latest = std::max(agg.latest, lr);
-
-      Round& cmin = minPerConfig[ci];
-      if (lr != kNoRound && (cmin == kNoRound || lr < cmin)) cmin = lr;
-
+      PerBudgetBounds one;
+      one.earliest = one.latest = run.latency();
       for (std::size_t r = 0; r < run.sentPerRound.size(); ++r) {
-        agg.maxMsgsPerRound =
-            std::max(agg.maxMsgsPerRound, run.sentPerRound[r]);
-        if (run.sentPerRound[r] > 0)
-          agg.quiescence =
-              std::max(agg.quiescence, static_cast<Round>(r + 1));
+        one.maxMsgsPerRound = std::max(one.maxMsgsPerRound,
+                                       run.sentPerRound[r]);
+        if (run.sentPerRound[r] > 0) one.quiescence = static_cast<Round>(r + 1);
       }
-      agg.peakPendingInFlight =
-          std::max(agg.peakPendingInFlight, run.peakPendingInFlight);
+      one.peakPendingInFlight = run.peakPendingInFlight;
+      // A run with k crashes counts towards every budget f >= k.
+      for (int f = script.numCrashes(); f <= budget; ++f)
+        join(bounds.byMaxCrashes[static_cast<std::size_t>(f)], one);
+      join(config, one);
     }
+    if (config.earliest == kNoRound)
+      bounds.latMax = kNoRound;
+    else if (bounds.latMax != kNoRound)
+      bounds.latMax = std::max(bounds.latMax, config.earliest);
   }
-
-  // Prefix-join: every quantity is monotone in the crash budget.
-  bounds.byMaxCrashes.resize(byExact.size());
-  PerBudgetBounds running;
-  for (std::size_t f = 0; f < byExact.size(); ++f) {
-    const PerBudgetBounds& e = byExact[f];
-    if (e.earliest != kNoRound &&
-        (running.earliest == kNoRound || e.earliest < running.earliest))
-      running.earliest = e.earliest;
-    if (e.latest == kNoRound || running.latest == kNoRound)
-      running.latest = kNoRound;
-    else
-      running.latest = std::max(running.latest, e.latest);
-    running.maxMsgsPerRound =
-        std::max(running.maxMsgsPerRound, e.maxMsgsPerRound);
-    running.quiescence = std::max(running.quiescence, e.quiescence);
-    running.peakPendingInFlight =
-        std::max(running.peakPendingInFlight, e.peakPendingInFlight);
-    bounds.byMaxCrashes[f] = running;
-  }
+  OBS_COUNTER_ADD("analysis.runs", bounds.runs);
 
   bounds.lat = bounds.byMaxCrashes.back().earliest;
   bounds.lambda = bounds.byMaxCrashes.front().latest;
-  bounds.latMax = 0;
-  for (Round cmin : minPerConfig) {
-    if (cmin == kNoRound)
-      bounds.latMax = kNoRound;
-    else if (bounds.latMax != kNoRound)
-      bounds.latMax = std::max(bounds.latMax, cmin);
-  }
   return bounds;
 }
 

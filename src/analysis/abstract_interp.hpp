@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "consensus/registry.hpp"
@@ -50,9 +51,12 @@ std::vector<std::vector<Value>> canonicalConfigs(int n);
 
 /// The schedule cells for (cfg, model): deduplicated, validateScript-legal
 /// failure scripts per the quotient described above.  Polynomial in t for
-/// fixed crash budget, versus the exponential full enumeration.
-std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
-                                                  RoundModel model);
+/// fixed crash budget, versus the exponential full enumeration.  With
+/// `maxCrashes`, only the cells with at most that many crashers (the same
+/// cells, in the same order).
+std::vector<FailureScript> enumerateScheduleCells(
+    const RoundConfig& cfg, RoundModel model,
+    std::optional<int> maxCrashes = std::nullopt);
 
 /// Join of all cells with at most f crashes (index f of
 /// AbstractBounds::byMaxCrashes).
@@ -77,15 +81,21 @@ struct AbstractBounds {
   std::int64_t runs = 0;    ///< cells x canonical configs
 };
 
-/// Observer for the structural checks of the analysis layer (L401-L404):
-/// called once per interpreted run, with deliveries traced.
+/// Observer for the structural checks of the analysis layer (L401-L404) and
+/// the src/param fold: called once per interpreted run, deliveries traced.
+/// The run is the pooled engine's, valid during the call, `automata` empty.
 using RunObserver = std::function<void(const RoundRunResult&)>;
 
 /// Interprets `entry` over the abstract schedule space at `cfg`.  Runs with
 /// horizon t + 3 and no early stop, so post-decision traffic and quiescence
-/// are visible.
+/// are visible.  All runs share one pooled RoundEngine, configs outermost in
+/// canonical order; only an observer gets traced deliveries, untraced runs
+/// resume from checkpoints.  `maxCrashes` keeps the cells with at most that
+/// many crashers: byMaxCrashes then stops at that budget with unchanged
+/// entries, while lat and latMax cover only those cells.
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
                                   const RoundConfig& cfg,
-                                  const RunObserver& observer = {});
+                                  const RunObserver& observer = {},
+                                  std::optional<int> maxCrashes = std::nullopt);
 
 }  // namespace ssvsp

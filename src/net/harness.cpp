@@ -78,8 +78,8 @@ bool parseProgress(std::string_view bytes, ProgressKind* kind,
 Round analyzerLatBound(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        int f) {
   if (f < 0 || f > cfg.t) return kNoRound;
-  const AbstractBounds bounds = interpretAutomaton(entry, cfg);
-  if (f >= static_cast<int>(bounds.byMaxCrashes.size())) return kNoRound;
+  // byMaxCrashes[f] joins only cells with <= f crashes: skip the rest.
+  const AbstractBounds bounds = interpretAutomaton(entry, cfg, {}, f);
   const Round latest = bounds.byMaxCrashes[static_cast<std::size_t>(f)].latest;
   return latest == 0 ? kNoRound : latest;
 }

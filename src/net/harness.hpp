@@ -89,8 +89,9 @@ LaunchResult launchCluster(const LaunchSpec& spec);
 bool launchSpecFromScenario(const Scenario& scenario, LaunchSpec* out,
                             std::string* error);
 
-/// The analyzer's Lat(A, f) for this entry at `cfg` (byMaxCrashes[f].latest);
-/// kNoRound when f exceeds cfg.t or the analyzer reports non-termination.
+/// The analyzer's Lat(A, f) for this entry at `cfg` (byMaxCrashes[f].latest,
+/// interpreting only the cells with <= f crashes); kNoRound when f is
+/// outside 0 .. cfg.t or the analyzer reports non-termination.
 Round analyzerLatBound(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        int f);
 

@@ -89,11 +89,42 @@ struct AbstractionResult {
   Round lambdaWitnessLatency = kNoRound;
 };
 
-/// Projects one interpreted run onto its abstract state sequence and folds
-/// it into `out` (exposed for the white-box tests; abstractInterpret is the
-/// driver).  countSaturation is clamped to >= 1.
-void foldRunAbstraction(const RoundRunResult& run, int countSaturation,
-                        AbstractionResult& out);
+/// Folds interpreted runs (deliveries traced) into the counting
+/// abstraction; abstractInterpret drives it, the white-box tests feed it
+/// runs directly.  Each process at each boundary is projected onto an
+/// integer tuple; payloads, classes and states are interned, each string
+/// rendered once, on first sight, and ids deduplicated by that string.  So
+/// id <-> string is a bijection, and only the Lambda witness (the first
+/// worst failure-free run) depends on the order runs are folded in.
+class AbstractionFolder {
+ public:
+  explicit AbstractionFolder(int countSaturation);  ///< clamped to >= 1
+  void fold(const RoundRunResult& run);
+  /// Everything folded so far, as strings; `row` is left to the caller.
+  AbstractionResult result() const;
+
+ private:
+  using Key = std::vector<std::int32_t>;
+  /// Dense ids for tuples, deduplicated by the string a tuple renders to
+  /// the first time it is seen.
+  struct Interner {
+    std::map<Key, int> ofTuple;
+    std::map<std::string, int> ofText;
+    std::vector<std::string> text;
+    template <class Render>
+    int intern(const Key& tuple, const Render& render);
+  };
+  std::string renderClass(const Key& tuple) const;
+  std::string renderState(const Key& tuple) const;
+
+  int c0_;
+  Interner payloads_, classes_, states_;
+  std::vector<char> classAlive_, classCorrectUndecided_;  ///< by class id
+  std::vector<AbstractStateInfo> stateInfo_;               ///< by state id
+  std::set<std::pair<int, int>> edges_;                     ///< state ids
+  int lambdaWitnessOnes_ = 0;
+  Round lambdaWitnessLatency_ = kNoRound;
+};
 
 /// Interprets `entry` at system size n (resilience = the entry's canonical
 /// t) and abstracts every run.  The row's bound quantities are exactly

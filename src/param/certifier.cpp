@@ -12,10 +12,6 @@ namespace param {
 
 namespace {
 
-std::string diagName(const AlgorithmEntry& entry) {
-  return "param:" + entry.name;
-}
-
 /// The closed-form row the declared bounds predict at (n-independent)
 /// resilience t — the same evaluation the analysis layer diffs as L400.
 void checkRowAgainstBounds(const AlgorithmEntry& entry,

@@ -181,6 +181,44 @@ TEST(Analysis, ScheduleCellsAreLegalAndDeduplicated) {
             enumerateScheduleCells(cfg, RoundModel::kRs).size());
 }
 
+// --- the pooled interpreter -----------------------------------------------
+
+TEST(Analysis, InterpreterBoundsAreTheSameWithAndWithoutAnObserver) {
+  // With an observer every run is traced and executed from round 1; without
+  // one the pooled engine resumes each cell from its checkpoint chain.  The
+  // two paths must agree on every field.
+  for (const AlgorithmEntry& entry : algorithmRegistry()) {
+    const RoundConfig cfg = canonicalAnalysisConfig(entry);
+    std::int64_t observed = 0;
+    const AbstractBounds traced =
+        interpretAutomaton(entry, cfg, [&](const RoundRunResult& run) {
+          ++observed;
+          EXPECT_TRUE(run.automata.empty());
+        });
+    const AbstractBounds untraced = interpretAutomaton(entry, cfg);
+    SCOPED_TRACE(entry.name);
+    EXPECT_EQ(observed, traced.runs);
+    EXPECT_EQ(traced.cfg.n, untraced.cfg.n);
+    EXPECT_EQ(traced.cfg.t, untraced.cfg.t);
+    EXPECT_EQ(traced.model, untraced.model);
+    EXPECT_EQ(traced.lat, untraced.lat);
+    EXPECT_EQ(traced.latMax, untraced.latMax);
+    EXPECT_EQ(traced.lambda, untraced.lambda);
+    EXPECT_EQ(traced.cells, untraced.cells);
+    EXPECT_EQ(traced.runs, untraced.runs);
+    ASSERT_EQ(traced.byMaxCrashes.size(), untraced.byMaxCrashes.size());
+    for (std::size_t f = 0; f < traced.byMaxCrashes.size(); ++f) {
+      const PerBudgetBounds& a = traced.byMaxCrashes[f];
+      const PerBudgetBounds& b = untraced.byMaxCrashes[f];
+      EXPECT_EQ(a.earliest, b.earliest) << "f = " << f;
+      EXPECT_EQ(a.latest, b.latest) << "f = " << f;
+      EXPECT_EQ(a.maxMsgsPerRound, b.maxMsgsPerRound) << "f = " << f;
+      EXPECT_EQ(a.quiescence, b.quiescence) << "f = " << f;
+      EXPECT_EQ(a.peakPendingInFlight, b.peakPendingInFlight) << "f = " << f;
+    }
+  }
+}
+
 // --- the model checker's latency-bound hook -------------------------------
 
 TEST(Analysis, ModelCheckerAcceptsTheDerivedLatBound) {

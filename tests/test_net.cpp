@@ -419,6 +419,24 @@ TEST(NetNodeTest, ScriptedCrashSurvivorsAgreeWithinLatAndSuspectOnlyIt) {
   }
 }
 
+TEST(NetNodeTest, AnalyzerLatBoundIsTheInterpretersBudgetRow) {
+  // analyzerLatBound interprets only the cells with <= f crashes; the
+  // prefix join makes that the full interpretation's byMaxCrashes[f].
+  for (const AlgorithmEntry& entry : algorithmRegistry()) {
+    const RoundConfig cfg = canonicalAnalysisConfig(entry);
+    const AbstractBounds full = interpretAutomaton(entry, cfg);
+    for (int f = 0; f <= cfg.t; ++f) {
+      const Round latest =
+          full.byMaxCrashes[static_cast<std::size_t>(f)].latest;
+      EXPECT_EQ(analyzerLatBound(entry, cfg, f),
+                latest == 0 ? kNoRound : latest)
+          << entry.name << " f = " << f;
+    }
+    EXPECT_EQ(analyzerLatBound(entry, cfg, -1), kNoRound) << entry.name;
+    EXPECT_EQ(analyzerLatBound(entry, cfg, cfg.t + 1), kNoRound) << entry.name;
+  }
+}
+
 TEST(NetNodeTest, DuplicateRoundFrameIsDroppedNotFatal) {
   // A hostile peer replays p1's round-1 frame at p0 under fresh link seqs,
   // so PerfectLink's dedup lets every copy through.  The frames are

@@ -8,6 +8,7 @@
 // --recheck) and the CI param-certify leg.  These tests load the committed
 // goldens and check them the cheap ways: fingerprints, round-trips, claim
 // consistency, and the exhaustive sweep cross-check at the small sizes.
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -97,8 +98,9 @@ TEST(ParamAbstraction, FoldTracksBoundariesAndCorrectUndecided) {
   const RoundRunResult run = runRounds(RoundConfig{4, 2}, RoundModel::kRs,
                                        entry.factory, {0, 1, 0, 1},
                                        FailureScript{}, opt);
-  AbstractionResult out;
-  foldRunAbstraction(run, /*countSaturation=*/2, out);
+  AbstractionFolder folder(/*countSaturation=*/2);
+  folder.fold(run);
+  const AbstractionResult out = folder.result();
   // One abstract state per boundary 0 .. roundsExecuted, chained by edges.
   EXPECT_EQ(out.states.size(),
             static_cast<std::size_t>(run.roundsExecuted + 1));
@@ -137,8 +139,9 @@ TEST(ParamAbstraction, DoomedProcessesDoNotCountAsCorrectUndecided) {
   const RoundRunResult run = runRounds(RoundConfig{4, 2}, RoundModel::kRs,
                                        entry.factory, {1, 0, 0, 0}, script,
                                        opt);
-  AbstractionResult out;
-  foldRunAbstraction(run, 2, out);
+  AbstractionFolder folder(2);
+  folder.fold(run);
+  const AbstractionResult out = folder.result();
   for (const auto& [state, info] : out.info) {
     EXPECT_EQ(info.f, 1);
     if (info.r == 0) {
@@ -151,6 +154,60 @@ TEST(ParamAbstraction, DoomedProcessesDoNotCountAsCorrectUndecided) {
   }
   // No failure-free run seen, so no Lambda witness.
   EXPECT_EQ(out.lambdaWitnessLatency, kNoRound);
+}
+
+TEST(ParamAbstraction, FoldIsIndependentOfRunOrder) {
+  // The folder's interned ids depend on the order runs arrive in; the
+  // rendered reach set, relation and facts must not.  One RS and one RWS
+  // row (the latter with pending profiles), folded with the cells in
+  // canonical and in reversed order.
+  for (const char* name : {"FloodSet", "A1WS_candidate"}) {
+    const AlgorithmEntry& entry = algorithmByName(name);
+    const RoundConfig cfg = canonicalAnalysisConfig(entry);
+    RoundEngineOptions opt;
+    opt.horizon = cfg.t + 3;
+    opt.traceDeliveries = true;
+    opt.stopWhenAllDecided = false;
+    RoundEngine engine(cfg, entry.intendedModel, entry.factory, opt);
+    std::vector<FailureScript> cells =
+        enumerateScheduleCells(cfg, entry.intendedModel);
+    const auto foldAll = [&] {
+      AbstractionFolder folder(entry.paramClaim.countSaturation);
+      for (const std::vector<Value>& initial : canonicalConfigs(cfg.n)) {
+        for (const FailureScript& cell : cells) {
+          engine.execute(initial, cell);
+          folder.fold(engine.result());
+        }
+      }
+      return folder.result();
+    };
+    const AbstractionResult forward = foldAll();
+    std::reverse(cells.begin(), cells.end());
+    const AbstractionResult reversed = foldAll();
+
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(forward.states.empty());
+    if (entry.intendedModel == RoundModel::kRws) {
+      EXPECT_TRUE(std::any_of(
+          forward.states.begin(), forward.states.end(),
+          [](const std::string& s) { return s.find("pend[") != s.npos; }));
+    }
+    EXPECT_EQ(forward.states, reversed.states);
+    EXPECT_EQ(forward.edges, reversed.edges);
+    ASSERT_EQ(forward.info.size(), reversed.info.size());
+    for (const auto& [state, info] : forward.info) {
+      const auto it = reversed.info.find(state);
+      ASSERT_NE(it, reversed.info.end()) << state;
+      EXPECT_EQ(info.f, it->second.f) << state;
+      EXPECT_EQ(info.r, it->second.r) << state;
+      EXPECT_EQ(info.aliveUndecided, it->second.aliveUndecided) << state;
+    }
+    // And both are the driver's reach set at this size.
+    const AbstractionResult driven =
+        abstractInterpret(entry, cfg.n, entry.paramClaim.countSaturation);
+    EXPECT_EQ(forward.states, driven.states);
+    EXPECT_EQ(forward.edges, driven.edges);
+  }
 }
 
 TEST(ParamAbstraction, RowsAreTheQuotientInterpretersBounds) {
