@@ -281,7 +281,8 @@ CampaignResult runCampaign(const CampaignSpec& spec,
   result.shardsTotal = static_cast<int>(manifest.shards.size());
 
   // Open the shared memo store: replay + torn-tail repair happen HERE,
-  // before any worker exists, so appenders never race the repair.
+  // before any worker exists, so appenders never race the repair.  Forked
+  // mode then catches up on the log before each fork (see dispatch).
   std::unique_ptr<MemoStore> store =
       MemoStore::open(storePath(options.dir), &error);
   if (store == nullptr) {
@@ -341,6 +342,8 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       const bool chaos =
           chaosArmed && static_cast<int>(index) == options.chaosKillShard;
       if (chaos) chaosArmed = false;  // fire once, complete on reassignment
+      // Inherit, through fork, every orbit that finished workers logged.
+      if (!store->catchUp(&error)) return false;
       const pid_t pid = ::fork();
       if (pid < 0)
         return setError(&error,

@@ -11,9 +11,12 @@
 //     process or in a forked worker — the ShardJob is the same either way;
 //   * the orchestrator forks up to `workers` shard processes, reaps them,
 //     records each finished shard (report + manifest save, tmp + rename)
-//     and reassigns the slices of workers that died.  Killing ANY process
-//     — SIGKILL included — costs at most the in-flight shards: `resume`
-//     (the same runCampaign call) reruns only shards not recorded done;
+//     and reassigns the slices of workers that died.  Before each fork it
+//     catches the store up on memo.log (MemoStore::catchUp), so a new
+//     worker inherits every orbit finished workers logged.  Killing ANY
+//     process — SIGKILL included — costs at most the in-flight shards:
+//     `resume` (the same runCampaign call) reruns only shards not recorded
+//     done;
 //   * shards are dispatched largest-remaining-first from one shared queue,
 //     so a straggling worker simply stops picking up new slices while the
 //     others drain the plan — work stealing by grain, not by preemption;

@@ -9,10 +9,10 @@
 #include <cerrno>
 #include <cstring>
 #include <ctime>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "util/serde.hpp"
 
 namespace ssvsp {
@@ -76,108 +76,125 @@ std::unique_ptr<MemoStore> MemoStore::open(const std::string& path,
     return nullptr;
   }
   const auto size = static_cast<std::size_t>(st.st_size);
+  store->replayed_ = sizeof(kMagicV2);
   if (size == 0) {
     // Fresh log: write the header now so readers can always demand it.
     if (!writeAll(fd, std::string_view(kMagicV2, sizeof(kMagicV2)), error))
       return nullptr;
     return store;
   }
-  if (size < sizeof(kMagicV2)) {
+  char magic[sizeof(kMagicV2)] = {};
+  if (size < sizeof(kMagicV2) ||
+      ::pread(fd, magic, sizeof(magic), 0) != sizeof(magic)) {
     setError(error, "memo store '" + path + "': truncated header");
     return nullptr;
   }
-
-  // Replay through a read-only mapping; record data is only trusted after
-  // its frame checksum verifies.
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (map == MAP_FAILED) {
-    setError(error, "memo store mmap: " + std::string(std::strerror(errno)));
-    return nullptr;
-  }
-  const std::string_view bytes(static_cast<const char*>(map), size);
-  bool corrupt = false;
-  std::size_t good = 0;  ///< offset just past the last intact record
-  const std::string_view magic = bytes.substr(0, sizeof(kMagicV2));
-  if (magic != std::string_view(kMagicV2, sizeof(kMagicV2))) {
-    corrupt = true;
+  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
     setError(error,
              "memo store '" + path + "': " +
-                 (magic == std::string_view(kMagicV1, sizeof(kMagicV1))
+                 (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0
                       ? "v1 log (SSVSPML1) is no longer readable; delete "
                         "it and re-run the campaign to rebuild a v2 store"
                       : "bad magic"));
-  } else {
-    good = sizeof(kMagicV2);
-    // Summary records since the writer's last footer; a footer closes its
-    // writer's segment by asserting this count.
-    std::map<std::uint32_t, std::int64_t> openSegment;
-    std::size_t off = sizeof(kMagicV2);
-    while (off < size) {
-      RecordReader probe(bytes.substr(off));
-      const std::string_view body = probe.getBytes();
-      const std::uint64_t checksum = probe.getU64();
-      if (!probe.ok() || checksum != fnv1a64(body)) break;  // torn tail
-      RecordReader rec(body);
-      const std::uint8_t type = rec.getU8();
-      if (type == kRecSummaryV2) {
-        const std::string_view keyBytes = rec.getBytes();
-        const std::uint32_t writer = rec.getU32();
-        RunSummary summary;
-        summary.latency = rec.getI32();
-        summary.consensusOk = rec.getU8() != 0;
-        if (!rec.ok() || !rec.exhausted()) break;  // torn tail
-        MemoKey key;
-        if (!MemoKey::fromBytes(keyBytes, &key)) {
-          // The frame checksum verified, so this is not a torn write: the
-          // record is well-formed bytes holding a malformed key.  Like a
-          // footer-count mismatch, that is damage we must not repair away.
-          corrupt = true;
-          setError(error, "memo store '" + path +
-                              "': undecodable summary key (log damaged)");
-          break;
-        }
-        store->RunMemo::insert(key, summary);
-        ++openSegment[writer];
-        ++store->openStats_.entriesLoaded;
-      } else if (type == kRecFooter) {
-        const std::uint32_t writer = rec.getU32();
-        const std::int64_t count = rec.getI64();
-        if (!rec.ok() || !rec.exhausted()) break;
-        if (openSegment[writer] != count) {
-          // A checksum-valid footer disagreeing with the replayed count is
-          // damage in the MIDDLE of the log, not a torn tail — records
-          // before it were silently lost, so refuse the store.
-          corrupt = true;
-          setError(error, "memo store '" + path +
-                              "': footer count mismatch (log damaged)");
-          break;
-        }
-        openSegment[writer] = 0;
-        ++store->openStats_.footersSeen;
-      } else {
-        break;  // unknown type: treat as torn tail
-      }
-      off += probe.pos();
-      good = off;
-    }
-    // Whatever each writer replayed past its last footer is unsealed.
-    // (Torn-tail records never count: the loop breaks before tallying
-    // them, and the truncation below removes them.)
-    for (const auto& [writer, open] : openSegment)
-      store->openStats_.entriesUnfooted += open;
+    return nullptr;
   }
-  ::munmap(map, size);
-  if (corrupt) return nullptr;
+  if (!store->replay(size, &store->openStats_, error)) return nullptr;
+  // Whatever each writer replayed past its last footer is unsealed.
+  // (Torn-tail records never count: replay stops before tallying them, and
+  // the truncation below removes them.)
+  for (const auto& [writer, open] : store->openSegment_)
+    store->openStats_.entriesUnfooted += open;
 
-  if (good < size) {
-    store->openStats_.bytesTruncated = static_cast<std::int64_t>(size - good);
-    if (::ftruncate(fd, static_cast<off_t>(good)) != 0) {
+  if (store->replayed_ < size) {
+    store->openStats_.bytesTruncated =
+        static_cast<std::int64_t>(size - store->replayed_);
+    if (::ftruncate(fd, static_cast<off_t>(store->replayed_)) != 0) {
       setError(error,
                "memo store repair: " + std::string(std::strerror(errno)));
       return nullptr;
     }
   }
   return store;
+}
+
+bool MemoStore::catchUp(std::string* error) {
+  OBS_SPAN("campaign.catch_up");
+  struct stat st{};
+  if (::fstat(fd_, &st) != 0)
+    return setError(error,
+                    "memo store stat: " + std::string(std::strerror(errno)));
+  [[maybe_unused]] const std::size_t from = replayed_;
+  OpenStats tally;
+  const bool ok = replay(static_cast<std::size_t>(st.st_size), &tally, error);
+  OBS_COUNTER_ADD("campaign.memo_caught_up", tally.entriesLoaded);
+  OBS_HISTOGRAM("campaign.catch_up_bytes",
+                static_cast<std::int64_t>(replayed_ - from));
+  return ok;
+}
+
+bool MemoStore::replay(std::size_t size, OpenStats* tally,
+                       std::string* error) {
+  if (size <= replayed_) return true;
+  // Map from the page holding replayed_: earlier frames are never touched
+  // again.  Record data is only trusted after its frame checksum verifies.
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t base = replayed_ - replayed_ % page;
+  void* map = ::mmap(nullptr, size - base, PROT_READ, MAP_PRIVATE, fd_,
+                     static_cast<off_t>(base));
+  if (map == MAP_FAILED)
+    return setError(error,
+                    "memo store mmap: " + std::string(std::strerror(errno)));
+  const std::string_view bytes(static_cast<const char*>(map), size - base);
+  bool ok = true;
+  std::size_t off = replayed_ - base;  ///< just past the last intact frame
+  while (off < bytes.size()) {
+    RecordReader probe(bytes.substr(off));
+    const std::string_view body = probe.getBytes();
+    const std::uint64_t checksum = probe.getU64();
+    if (!probe.ok() || checksum != fnv1a64(body)) break;  // torn or in flight
+    RecordReader rec(body);
+    const std::uint8_t type = rec.getU8();
+    if (type == kRecSummaryV2) {
+      const std::string_view keyBytes = rec.getBytes();
+      const std::uint32_t writer = rec.getU32();
+      RunSummary summary;
+      summary.latency = rec.getI32();
+      summary.consensusOk = rec.getU8() != 0;
+      if (!rec.ok() || !rec.exhausted()) break;  // torn tail
+      MemoKey key;
+      if (!MemoKey::fromBytes(keyBytes, &key)) {
+        // The frame checksum verified, so this is not a torn write: the
+        // record is well-formed bytes holding a malformed key.  Like a
+        // footer-count mismatch, that is damage we must not repair away.
+        ok = setError(error, "memo store '" + path_ +
+                                 "': undecodable summary key (log damaged)");
+        break;
+      }
+      RunMemo::insert(key, summary);
+      ++openSegment_[writer];
+      ++tally->entriesLoaded;
+    } else if (type == kRecFooter) {
+      const std::uint32_t writer = rec.getU32();
+      const std::int64_t count = rec.getI64();
+      if (!rec.ok() || !rec.exhausted()) break;
+      if (openSegment_[writer] != count) {
+        // A checksum-valid footer disagreeing with the replayed count is
+        // damage in the MIDDLE of the log, not a torn tail — records
+        // before it were silently lost, so refuse the store.
+        ok = setError(error, "memo store '" + path_ +
+                                 "': footer count mismatch (log damaged)");
+        break;
+      }
+      openSegment_[writer] = 0;
+      ++tally->footersSeen;
+    } else {
+      break;  // unknown type: treat as torn tail
+    }
+    off += probe.pos();
+  }
+  replayed_ = base + off;
+  ::munmap(map, size - base);
+  return ok;
 }
 
 MemoStore::~MemoStore() {

@@ -23,8 +23,16 @@
 //   * open() replays the log via a read-only mmap and REPAIRS a torn tail:
 //     the first incomplete or checksum-failing record and everything after
 //     it is ftruncate'd away.  A worker killed mid-write therefore costs
-//     the tail batch, never the store.  Call open() only while no other
-//     process is appending (the orchestrator opens before forking).
+//     the tail batch, never the store.  open() is exclusive: call it only
+//     while no other process is appending (the orchestrator opens before
+//     forking).
+//   * catchUp() replays what other writers appended since open() or the
+//     last catchUp(), through the same frame walk, and is safe beside live
+//     appenders: it never repairs, and stops at the first incomplete or
+//     checksum-failing frame — possibly a batch still being written — so
+//     the next call resumes from that same offset.  The orchestrator calls
+//     it before each fork, so a new worker inherits every orbit that
+//     finished workers logged.
 //
 // Store version: logs carry the "SSVSPML2" magic and summary records hold
 // the packed MemoKey words directly (kRecSummaryV2).  A log with the older
@@ -34,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -83,6 +92,12 @@ class MemoStore : public RunMemo {
   /// completion, before reporting the shard done.
   bool appendFooter(std::string* error = nullptr);
 
+  /// Inserts every intact summary record appended since open() or the last
+  /// catchUp(), checking footers as open() does.  Stops without repair at
+  /// the first incomplete or checksum-failing frame and resumes there next
+  /// call.  Returns false (with `error`) on damage open() would refuse.
+  bool catchUp(std::string* error = nullptr);
+
   const OpenStats& openStats() const { return openStats_; }
   const std::string& path() const { return path_; }
   /// Records inserted through THIS handle (not replayed ones).
@@ -92,11 +107,20 @@ class MemoStore : public RunMemo {
   MemoStore(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
 
   std::uint32_t currentWriterId();
+  /// The one frame walk of open() and catchUp(): replays [replayed_, size),
+  /// adding the summaries and footers it replays to `tally`, and leaves
+  /// replayed_ just past the last intact frame.  False (with `error`) on
+  /// checksum-valid damage.
+  bool replay(std::size_t size, OpenStats* tally, std::string* error);
 
   std::string path_;
   int fd_ = -1;  ///< O_APPEND descriptor
   std::uint32_t writerId_ = 0;  ///< lazily derived (fork-safe); 0 = unset
   OpenStats openStats_;
+  std::size_t replayed_ = 0;  ///< log offset just past the last intact frame
+  /// Per writer: summaries replayed since its last footer, which a footer
+  /// must match.  Kept across catchUp() calls.
+  std::map<std::uint32_t, std::int64_t> openSegment_;
 
   std::mutex pendingMu_;
   std::string pending_;  ///< framed records staged for the next flush()

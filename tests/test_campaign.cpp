@@ -3,13 +3,16 @@
 // mid-log damage), the manifest ledger's serde and resume semantics, and
 // the headline guarantee — a 2-process campaign that loses a worker to
 // SIGKILL mid-shard still produces a merged report bit-identical to the
-// single-process in-memory sweep.
+// single-process in-memory sweep — and catchUp(), which lets each forked
+// worker inherit what finished workers logged.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -18,6 +21,8 @@
 #include "campaign/store.hpp"
 #include "consensus/registry.hpp"
 #include "mc/checker.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/serde.hpp"
 
 namespace ssvsp {
@@ -32,12 +37,8 @@ class CampaignTest : public ::testing::Test {
     dir_ = tmpl;
   }
   void TearDown() override {
-    // Best-effort scrub; files first, then the directory.
-    for (const char* name : {"/manifest.json", "/manifest.json.tmp",
-                             "/memo.log", "/memo.log.compact.tmp"}) {
-      std::remove((dir_ + name).c_str());
-    }
-    ::rmdir(dir_.c_str());
+    std::error_code ignored;  // best-effort scrub
+    std::filesystem::remove_all(dir_, ignored);
   }
 
   std::string storePath() const { return dir_ + "/memo.log"; }
@@ -73,6 +74,24 @@ std::string framed(const std::string& body) {
   RecordWriter tail(out);
   tail.putU64(fnv1a64(body));
   return out;
+}
+
+/// A checksum-valid segment footer for `writer` claiming `count` records.
+std::string footerFrame(std::uint32_t writer, std::int64_t count) {
+  std::string body;
+  RecordWriter w(body);
+  w.putU8(2).putU32(writer).putI64(count);  // kRecFooter
+  return framed(body);
+}
+
+/// A summary record for `key`, stamped with `writer`.
+std::string summaryFrame(const MemoKey& key, std::uint32_t writer,
+                         const RunSummary& summary) {
+  std::string body;
+  RecordWriter w(body);
+  w.putU8(3).putBytes(key.bytes()).putU32(writer);  // kRecSummaryV2
+  w.putI32(summary.latency).putU8(summary.consensusOk ? 1 : 0);
+  return framed(body);
 }
 
 TEST_F(CampaignTest, StoreRoundTripsAcrossReopen) {
@@ -162,21 +181,65 @@ TEST_F(CampaignTest, StoreRefusesFooterCountMismatch) {
   // Forge a checksum-VALID footer claiming 7 records for a writer that
   // appended none: valid frame, inconsistent ledger — records were lost in
   // the middle of the log, so open() must refuse rather than repair.
-  std::string body;
-  RecordWriter w(body);
-  w.putU8(2).putU32(0xDEAD).putI64(7);
-  std::string frame;
-  RecordWriter f(frame);
-  f.putU32(static_cast<std::uint32_t>(body.size()));
-  frame.append(body);
-  {
-    RecordWriter tail(frame);
-    tail.putU64(fnv1a64(body));
-  }
-  appendRaw(storePath(), frame);
+  appendRaw(storePath(), footerFrame(0xDEAD, 7));
 
   auto store = MemoStore::open(storePath(), &error);
   EXPECT_EQ(store, nullptr);
+  EXPECT_NE(error.find("footer count mismatch"), std::string::npos) << error;
+}
+
+TEST_F(CampaignTest, CatchUpWaitsForAFrameStillBeingWritten) {
+  obs::metrics().reset();
+  std::string error;
+  auto store = MemoStore::open(storePath(), &error);
+  ASSERT_NE(store, nullptr) << error;
+  const std::string frame = summaryFrame(testKey(5), 0xBEEF, {3, true});
+  const std::size_t half = frame.size() / 2;
+
+  // Another writer is mid-append: half a frame is on disk.  catchUp() must
+  // neither see the record nor repair the "torn" tail away.
+  appendRaw(storePath(), frame.substr(0, half));
+  const std::int64_t partial = fileSize(storePath());
+  ASSERT_TRUE(store->catchUp(&error)) << error;
+  EXPECT_FALSE(store->find(testKey(5)).has_value());
+  EXPECT_EQ(fileSize(storePath()), partial);
+
+  // The second write completes the frame; the next call resumes at it.
+  appendRaw(storePath(), frame.substr(half));
+  ASSERT_TRUE(store->catchUp(&error)) << error;
+  const std::optional<RunSummary> got = store->find(testKey(5));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->latency, 3);
+  EXPECT_TRUE(got->consensusOk);
+
+  // Footer counts carry across calls: the writer's footer for its one
+  // record, arriving in a later catch-up, is accepted.
+  appendRaw(storePath(), footerFrame(0xBEEF, 1));
+  EXPECT_TRUE(store->catchUp(&error)) << error;
+  EXPECT_EQ(store->size(), 1);
+#if SSVSP_OBS_ENABLED
+  // One record over three catch-ups, each replaying whole frames only.
+  const obs::MetricsSnapshot metrics = obs::metrics().snapshot();
+  EXPECT_EQ(metrics.value("campaign.memo_caught_up"), 1);
+  const obs::MetricSample* bytes = metrics.find("campaign.catch_up_bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes->hist.count, 3);
+  EXPECT_EQ(bytes->hist.sum, static_cast<std::int64_t>(
+                                 frame.size() + footerFrame(0xBEEF, 1).size()));
+#endif
+}
+
+TEST_F(CampaignTest, CatchUpRefusesFooterCountMismatch) {
+  std::string error;
+  auto store = MemoStore::open(storePath(), &error);
+  ASSERT_NE(store, nullptr) << error;
+  appendRaw(storePath(), summaryFrame(testKey(1), 0xDEAD, {2, true}));
+  appendRaw(storePath(), footerFrame(0xDEAD, 7));
+  EXPECT_FALSE(store->catchUp(&error));
+  EXPECT_NE(error.find("footer count mismatch"), std::string::npos) << error;
+  // The damage stays refused on every later call; nothing was truncated.
+  error.clear();
+  EXPECT_FALSE(store->catchUp(&error));
   EXPECT_NE(error.find("footer count mismatch"), std::string::npos) << error;
 }
 
@@ -376,6 +439,106 @@ TEST_F(CampaignTest, KilledWorkerCampaignMatchesInMemorySweepBitForBit) {
       algorithmByName(spec.algorithm).factory, RoundConfig{spec.n, spec.t},
       manifest->model, whole);
   EXPECT_EQ(fromCampaign.report.toJsonString(), inMemory.toJsonString());
+}
+
+/// FloodSetWS n=4 t=2 over its first 1200 scripts, in six shards.
+CampaignSpec sharingSpec() {
+  CampaignSpec spec;
+  spec.algorithm = "FloodSetWS";
+  spec.n = 4;
+  spec.t = 2;
+  spec.maxScripts = 1200;
+  spec.shardScripts = 200;
+  return spec;
+}
+
+/// One forked worker at a time, each caught up on the log before its fork,
+/// shares exactly what one process shares: the same engine runs, the same
+/// memo records, no duplicate in the log, and the same report.
+TEST_F(CampaignTest, OneWorkerAtATimeSharesLikeOneProcess) {
+  const CampaignSpec spec = sharingSpec();
+  CampaignOptions options;
+  options.dir = dir_ + "/in_process";
+  options.workers = 0;
+  const CampaignResult inProcess = runCampaign(spec, options);
+  ASSERT_TRUE(inProcess.ok) << inProcess.error;
+  ASSERT_EQ(inProcess.shardsTotal, 6);
+
+  options.dir = dir_ + "/forked";
+  options.workers = 1;
+  const CampaignResult forked = runCampaign(spec, options);
+  ASSERT_TRUE(forked.ok) << forked.error;
+  EXPECT_EQ(forked.workersForked, 6);
+  EXPECT_EQ(forked.stats.runsExecuted, inProcess.stats.runsExecuted);
+  EXPECT_EQ(forked.memoEntriesAppended, inProcess.memoEntriesAppended);
+  EXPECT_EQ(forked.report.toJsonString(), inProcess.report.toJsonString());
+
+  CompactStats compacted;
+  std::string error;
+  ASSERT_TRUE(compactMemoStore(options.dir + "/memo.log", /*force=*/false,
+                               &compacted, &error))
+      << error;
+  EXPECT_EQ(compacted.entriesBefore, compacted.entriesAfter);
+  EXPECT_EQ(compacted.entriesAfter, inProcess.memoEntriesAppended);
+}
+
+/// A shard worker SIGKILLed mid-shard leaves a flushed but unsealed half
+/// segment.  The next catch-up inherits it, so the reassigned slice logs
+/// none of those orbits again — and the report is still bit-identical.
+TEST_F(CampaignTest, KilledWorkersHalfSegmentIsCaughtUp) {
+  const CampaignSpec spec = sharingSpec();
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 1;
+  options.chaosKillShard = 1;
+  const CampaignResult fromCampaign = runCampaign(spec, options);
+  ASSERT_TRUE(fromCampaign.ok) << fromCampaign.error;
+  EXPECT_EQ(fromCampaign.workerDeaths, 1);
+
+  std::string error;
+  const auto manifest = campaignStatus(dir_, &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  McCheckOptions whole = manifest->shardOptions(0);
+  whole.shard = ShardRange{};
+  const McReport inMemory = modelCheckConsensus(
+      algorithmByName(spec.algorithm).factory, RoundConfig{spec.n, spec.t},
+      manifest->model, whole);
+  EXPECT_EQ(fromCampaign.report.toJsonString(), inMemory.toJsonString());
+
+  CompactStats compacted;
+  ASSERT_TRUE(compactMemoStore(storePath(), /*force=*/true, &compacted,
+                               &error))
+      << error;
+  EXPECT_GT(compacted.entriesUnfooted, 0);  // the killed worker's half
+  EXPECT_EQ(compacted.entriesBefore, compacted.entriesAfter);
+}
+
+/// Armed by the test below: the log the next fork() forges a footer into.
+std::string* gForgeFooterInto = nullptr;
+
+void forgeFooterBeforeFork() {
+  if (gForgeFooterInto == nullptr) return;
+  appendRaw(*gForgeFooterInto, footerFrame(0xDEAD, 7));
+  gForgeFooterInto = nullptr;  // once
+}
+
+/// Damage that appears in the log while the campaign runs fails the
+/// campaign through the next catch-up with the store's error — no abort.
+TEST_F(CampaignTest, CatchUpDamageFailsTheCampaign) {
+  static const int registered =
+      ::pthread_atfork(&forgeFooterBeforeFork, nullptr, nullptr);
+  ASSERT_EQ(registered, 0);
+  std::string log = storePath();
+  gForgeFooterInto = &log;  // lands right after the first catch-up
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 1;
+  const CampaignResult result = runCampaign(sharingSpec(), options);
+  gForgeFooterInto = nullptr;
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("footer count mismatch"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.workersForked, 1);
 }
 
 TEST_F(CampaignTest, ResumeRerunsOnlyPendingShardsAndMatches) {
