@@ -187,8 +187,8 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
       enumerateScheduleCells(cfg, entry.intendedModel, budget);
   const std::vector<std::vector<Value>> configs = canonicalConfigs(cfg.n);
 
-  // One pooled engine for every (config, cell) pair.  Only an observer gets
-  // traced deliveries; untraced runs resume from the checkpoint chain.
+  // One pooled engine for every (config, cell) pair, resuming each run from
+  // its checkpoint chain.  Only an observer gets traced deliveries.
   RoundEngineOptions engineOpt;
   engineOpt.horizon = cfg.t + 3;
   engineOpt.traceDeliveries = static_cast<bool>(observer);

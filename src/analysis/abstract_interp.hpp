@@ -89,8 +89,8 @@ using RunObserver = std::function<void(const RoundRunResult&)>;
 /// Interprets `entry` over the abstract schedule space at `cfg`.  Runs with
 /// horizon t + 3 and no early stop, so post-decision traffic and quiescence
 /// are visible.  All runs share one pooled RoundEngine, configs outermost in
-/// canonical order; only an observer gets traced deliveries, untraced runs
-/// resume from checkpoints.  `maxCrashes` keeps the cells with at most that
+/// canonical order, and resume from its checkpoints; only an observer gets
+/// traced deliveries.  `maxCrashes` keeps the cells with at most that
 /// many crashers: byMaxCrashes then stops at that budget with unchanged
 /// entries, while lat and latMax cover only those cells.
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,

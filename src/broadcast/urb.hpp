@@ -54,9 +54,6 @@ class UrbFlood : public RoundAutomaton {
       const std::vector<std::optional<Payload>>& received) override;
   std::optional<Value> decision() const override { return std::nullopt; }
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<UrbFlood>(*this);
-  }
 
   const std::vector<Delivery>& delivered() const { return delivered_; }
 

@@ -45,9 +45,6 @@ class CommitFlood : public RoundAutomaton {
       const std::vector<std::optional<Payload>>& received) override;
   std::optional<Value> decision() const override { return decision_; }
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<CommitFlood>(*this);
-  }
 
   /// Votes this process knows (kUndecided where unknown) — for tests.
   const std::vector<Value>& knownVotes() const { return known_; }

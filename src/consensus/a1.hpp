@@ -40,9 +40,6 @@ class A1 : public RoundAutomaton {
       const std::vector<std::optional<Payload>>& received) override;
   std::optional<Value> decision() const override { return decision_; }
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<A1>(*this);
-  }
   std::size_t stateBytes(std::byte* out) const override {
     if (out != nullptr) {
       Pod pod{};

@@ -30,9 +30,6 @@ class EarlyFloodSet : public FloodSet {
   void transition(
       const std::vector<std::optional<Payload>>& received) override;
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<EarlyFloodSet>(*this);
-  }
   // No state beyond the base's (the early rule reads absorb()'s return
   // within transition()), so the inherited snapshot layout is complete;
   // re-stating the type certifies that to the engine's POD probe.

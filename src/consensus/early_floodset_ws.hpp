@@ -32,12 +32,8 @@ class EarlyFloodSetWs : public FloodSet {
   void transition(
       const std::vector<std::optional<Payload>>& received) override;
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<EarlyFloodSetWs>(*this);
-  }
   // shift_ is a construction-time constant, so inheriting the base pod
-  // would be behaviorally correct — but the POD contract asks subclasses to
-  // override alongside clone(), and carrying shift_ keeps the snapshot
+  // would be behaviorally correct — but carrying shift_ keeps the snapshot
   // self-describing.
   std::size_t stateBytes(std::byte* out) const override {
     if (out != nullptr) {

@@ -34,9 +34,6 @@ class FloodSet : public RoundAutomaton {
       const std::vector<std::optional<Payload>>& received) override;
   std::optional<Value> decision() const override { return decision_; }
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<FloodSet>(*this);
-  }
   std::size_t stateBytes(std::byte* out) const override {
     if (out != nullptr) {
       const BasePod pod = packBase();

@@ -30,9 +30,6 @@ class NonUniformEarlyFloodSet : public FloodSet {
   void transition(
       const std::vector<std::optional<Payload>>& received) override;
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<NonUniformEarlyFloodSet>(*this);
-  }
   // Stateless beyond the base; certify the inherited snapshot layout.
   const std::type_info* stateBytesType() const override {
     return &typeid(NonUniformEarlyFloodSet);

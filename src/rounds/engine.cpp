@@ -1,7 +1,6 @@
 #include "rounds/engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <typeinfo>
 #include <utility>
@@ -112,30 +111,15 @@ void RoundEngine::beginFresh(const std::vector<Value>& initial) {
     procs_[static_cast<std::size_t>(p)]->begin(
         p, cfg_, initial[static_cast<std::size_t>(p)]);
   if (!probed_) {
-    // Checkpointing needs every automaton to opt into clone(); tracing
-    // would need deliveries snapshotted too, so it disables the chain.
-    // The typeid check catches a subclass that INHERITS its base's clone():
-    // such a clone would be a sliced copy with the base's behaviour, so we
-    // must fall back to plain execution rather than resume from it.
+    // Probe the POD-snapshot contract: when every automaton packs its state
+    // into the same fixed byte count, checkpoints are flat arena blocks
+    // (memcpy in, memcpy out).  Heterogeneous sizes run without checkpoints,
+    // and so does any automaton whose stateBytesType() does not vouch for
+    // its exact dynamic type — a subclass that added state but inherited its
+    // base's snapshot hooks would otherwise be silently sliced on restore.
     probed_ = true;
-    checkpointing_ = !options_.traceDeliveries;
-    for (const auto& a : procs_) {
-      const std::unique_ptr<RoundAutomaton> c = a->clone();
-      if (c == nullptr || typeid(*c) != typeid(*a)) {
-        checkpointing_ = false;
-        break;
-      }
-    }
-    // On top of cloneability, probe the POD-snapshot contract: when every
-    // automaton packs its state into the same fixed byte count, checkpoints
-    // become flat arena blocks (memcpy in, memcpy out) instead of per-round
-    // heap clones.  Heterogeneous sizes fall back to the clone form, and so
-    // does any automaton whose stateBytesType() does not vouch for its exact
-    // dynamic type — a subclass that added state but inherited its base's
-    // snapshot hooks would otherwise be silently sliced on restore (the POD
-    // analogue of the clone() typeid tripwire above).
     podStride_ = 0;
-    if (checkpointing_ && !procs_.empty()) {
+    if (!procs_.empty()) {
       const std::size_t stride = procs_.front()->stateBytes(nullptr);
       bool uniform = stride > 0;
       for (const auto& a : procs_) {
@@ -170,58 +154,39 @@ std::unique_ptr<RoundCheckpoint> RoundEngine::snapshot() {
     // capacity, so steady-state snapshotting allocates nothing.
     cp = std::move(spare_.back());
     spare_.pop_back();
-    cp->automata.clear();
   } else {
     cp = std::make_unique<RoundCheckpoint>();
   }
   cp->round = result_.roundsExecuted;
-  if (podStride_ > 0) {
-    cp->stateStride = podStride_;
-    cp->stateBlob.resize(podStride_ * procs_.size());
-    for (std::size_t i = 0; i < procs_.size(); ++i)
-      procs_[i]->stateBytes(cp->stateBlob.data() + i * podStride_);
-  } else {
-    OBS_COUNTER_ADD("engine.clones", cfg_.n);
-    cp->stateBlob.clear();
-    cp->stateStride = 0;
-    cp->automata.reserve(procs_.size());
-    for (const auto& a : procs_) {
-      cp->automata.push_back(a->clone());
-      SSVSP_CHECK(cp->automata.back() != nullptr);
-    }
-  }
+  cp->stateBlob.resize(podStride_ * procs_.size());
+  for (std::size_t i = 0; i < procs_.size(); ++i)
+    procs_[i]->stateBytes(cp->stateBlob.data() + i * podStride_);
   cp->inbox = inbox_;
   cp->decision = result_.decision;
   cp->decisionRound = result_.decisionRound;
   cp->sentPerRound = result_.sentPerRound;
   cp->peakPendingInFlight = result_.peakPendingInFlight;
+  cp->deliveryCount = result_.deliveries.size();
   return cp;
 }
 
 void RoundEngine::restore(const RoundCheckpoint& cp) {
-  if (!cp.stateBlob.empty()) {
-    // POD form: overwrite the pooled automata in place, no allocation.
-    SSVSP_CHECK(cp.stateStride > 0 &&
-                cp.stateBlob.size() ==
-                    cp.stateStride * static_cast<std::size_t>(cfg_.n));
-    SSVSP_CHECK(procs_.size() == static_cast<std::size_t>(cfg_.n));
-    for (std::size_t i = 0; i < procs_.size(); ++i)
-      procs_[i]->restoreBytes(cp.stateBlob.data() + i * cp.stateStride);
-  } else {
-    SSVSP_CHECK(cp.automata.size() == static_cast<std::size_t>(cfg_.n));
-    procs_.resize(cp.automata.size());
-    for (std::size_t i = 0; i < cp.automata.size(); ++i) {
-      procs_[i] = cp.automata[i]->clone();
-      SSVSP_CHECK(procs_[i] != nullptr);
-    }
-  }
+  // Overwrite the pooled automata in place, no allocation.
+  SSVSP_CHECK(podStride_ > 0 &&
+              procs_.size() == static_cast<std::size_t>(cfg_.n) &&
+              cp.stateBlob.size() == podStride_ * procs_.size());
+  for (std::size_t i = 0; i < procs_.size(); ++i)
+    procs_[i]->restoreBytes(cp.stateBlob.data() + i * podStride_);
   inbox_ = cp.inbox;
   result_.roundsExecuted = cp.round;
   result_.decision = cp.decision;
   result_.decisionRound = cp.decisionRound;
   result_.sentPerRound = cp.sentPerRound;
   result_.peakPendingInFlight = cp.peakPendingInFlight;
-  result_.deliveries.clear();
+  // A run resumed at round cp.round delivers exactly what the chain's run
+  // delivered in rounds 1 .. cp.round, so the traced prefix stays.
+  SSVSP_CHECK(cp.deliveryCount <= result_.deliveries.size());
+  result_.deliveries.resize(cp.deliveryCount);
   result_.automata.clear();
 }
 
@@ -234,9 +199,9 @@ void RoundEngine::runFrom(Round firstRound, const FailureScript& script) {
   for (Round r = firstRound; r <= options_.horizon; ++r) {
     // Snapshot the END of the previous round lazily: the final executed
     // round never needs one (a script diverging after it reuses the whole
-    // run), and this way we never find out too late that we cloned for
-    // nothing.
-    if (checkpointing_ && r > firstRound) chain_.push_back(snapshot());
+    // run), and this way we never find out too late that we snapshotted
+    // for nothing.
+    if (podStride_ > 0 && r > firstRound) chain_.push_back(snapshot());
 
     result_.roundsExecuted = r;
     result_.sentPerRound.push_back(0);
@@ -362,7 +327,7 @@ void RoundEngine::execute(const std::vector<Value>& initial,
   SSVSP_CHECK_MSG(validity.ok, "illegal script: " << validity.reason << " "
                                                   << script.toString());
 
-  if (checkpointing_ && resultValid_ && initial == result_.initial) {
+  if (resultValid_ && initial == result_.initial) {
     const Round d = divergenceRound(result_.script, script);
     const Round executed = result_.roundsExecuted;
     const Round reusable = d == kNoRound ? executed : d - 1;
@@ -440,11 +405,9 @@ RoundRunResult RoundEngine::takeResult() {
   result_ = RoundRunResult();
   resultValid_ = false;
   probed_ = false;
-  checkpointing_ = false;
   podStride_ = 0;
-  // The chain's POD blobs reference nothing, but its clone-form automata
-  // (and all recycled buffers) belong to this engine's lifetime; clear both
-  // so the next execute() starts from scratch.
+  // The pooled automata left with the result: drop the chain and its
+  // recycled buffers so the next execute() starts from scratch.
   chain_.clear();
   spare_.clear();
   return out;

@@ -97,33 +97,31 @@ struct InFlightMsg {
   Payload payload;
 };
 
-/// A deep snapshot of a run's state at the END of some round: the automata,
-/// the in-flight inboxes, and the partial result accumulated so far.
-/// Produced by RoundEngine while a run executes and consumed by
+/// A snapshot of a run's state at the END of some round: the automata, the
+/// in-flight inboxes, and the partial result accumulated so far.  Produced
+/// by RoundEngine while a run executes and consumed by
 /// RoundEngine::resumeFrom, so a later run whose script agrees with the
 /// snapshotted one on every event of rounds <= `round` can skip
 /// re-executing that prefix.
 ///
-/// Automaton state is captured in one of two forms:
-///   * POD (`stateBlob` non-empty): every automaton honoured the
-///     RoundAutomaton::stateBytes contract, so the snapshot is one flat
-///     arena block — `stateBlob[i * stateStride ..]` holds process i's
-///     bytes — written by memcpy and restored into the engine's POOLED
-///     automata without any allocation.  `automata` stays empty.
-///   * clones (`automata` non-empty): the pre-POD fallback via
-///     RoundAutomaton::clone (move-only, one heap clone per process).
+/// Automaton state is one flat arena block: every automaton honours the
+/// RoundAutomaton::stateBytes contract with the same byte count, so process
+/// i's bytes sit at `stateBlob[i * stride ..]`, written by memcpy and
+/// restored into the engine's POOLED automata without any allocation.
+/// Traced deliveries are not copied: such a later run delivers exactly the
+/// same messages in rounds 1 .. `round`, so the checkpoint records only how
+/// many there were and a resume truncates the trace back to that count.
 /// The engine recycles checkpoint objects (and their blob/inbox buffers)
 /// through a freelist, so steady-state snapshotting allocates nothing.
 struct RoundCheckpoint {
   Round round = 0;  ///< state captured at the end of this round
-  std::vector<std::unique_ptr<RoundAutomaton>> automata;
-  std::vector<std::byte> stateBlob;  ///< POD form; empty = clone form
-  std::size_t stateStride = 0;       ///< per-process bytes within stateBlob
+  std::vector<std::byte> stateBlob;
   std::vector<std::vector<InFlightMsg>> inbox;
   std::vector<std::optional<Value>> decision;
   std::vector<Round> decisionRound;
   std::vector<std::int64_t> sentPerRound;
   int peakPendingInFlight = 0;
+  std::size_t deliveryCount = 0;  ///< result deliveries.size() at `round`
 };
 
 /// First round at which executing `a` and `b` may differ — the earliest
@@ -139,14 +137,17 @@ Round divergenceRound(const FailureScript& a, const FailureScript& b);
 /// (via begin(), see the reset contract in round_automaton.hpp), inboxes and
 /// result buffers across runs instead of allocating per run.
 ///
-/// When the factory's automata support clone(), the engine additionally
-/// keeps a checkpoint chain for the most recent run and resumes the next
-/// run from the deepest checkpoint before divergenceRound(previous script,
-/// next script).  Scripts arriving in an order where consecutive scripts
-/// share long crash prefixes (the enumerator's lexicographic-by-divergence
-/// order) then skip most of their rounds.  Results are bit-identical to
-/// fresh execution by construction: a resumed run continues from a deep
-/// copy of exactly the state a fresh run would have reached.
+/// When the factory's automata honour the POD-snapshot contract (see
+/// round_automaton.hpp), the engine additionally keeps a checkpoint chain
+/// for the most recent run, traced or not, and resumes the next run from
+/// the deepest checkpoint before divergenceRound(previous script, next
+/// script).  Scripts arriving in an order where consecutive scripts share
+/// long crash prefixes (the enumerator's lexicographic-by-divergence order)
+/// then skip most of their rounds.  Results, traced deliveries included,
+/// are bit-identical to fresh execution by construction: a resumed run
+/// continues from a copy of exactly the state a fresh run would have
+/// reached.  Automata without the POD form get no chain: a run either
+/// reuses the previous run whole or executes from round 1.
 class RoundEngine {
  public:
   /// Throws InvariantViolation on an inadmissible cfg or horizon < 1.
@@ -161,9 +162,9 @@ class RoundEngine {
   void execute(const std::vector<Value>& initial, const FailureScript& script);
 
   /// The checkpoint at the end of round r from the current chain, or
-  /// nullptr (no run yet, cloning unsupported, or r outside the chain —
-  /// the final executed round is never snapshotted: a run diverging after
-  /// it is fully reusable without one).
+  /// nullptr (no run yet, no POD snapshots, or r outside the chain — the
+  /// final executed round is never snapshotted: a run diverging after it is
+  /// fully reusable without one).
   const RoundCheckpoint* snapshotAt(Round r) const;
 
   /// Re-runs from `cp`, which must belong to this engine's current chain
@@ -213,9 +214,8 @@ class RoundEngine {
   RoundRunResult result_;
   bool resultValid_ = false;
 
-  bool checkpointing_ = false;  ///< automata cloneable and no tracing
-  bool probed_ = false;         ///< clone support probed on the first run
-  std::size_t podStride_ = 0;   ///< per-process POD bytes; 0 = clone form
+  bool probed_ = false;        ///< POD support probed on the first run
+  std::size_t podStride_ = 0;  ///< per-process POD bytes; 0 = no checkpoints
   /// chain_[r - 1] = end-of-round-r state of the last run, rounds
   /// 1 .. roundsExecuted - 1 (the final round needs no snapshot).
   std::vector<std::unique_ptr<RoundCheckpoint>> chain_;

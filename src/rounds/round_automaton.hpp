@@ -44,42 +44,29 @@ class RoundAutomaton {
   /// silently corrupt exhaustive sweeps.
   virtual void begin(ProcessId self, const RoundConfig& cfg, Value initial) = 0;
 
-  /// Deep copy of the current state, or nullptr if the automaton does not
-  /// support cloning.  A non-null clone must be behaviorally identical to
-  /// the original: resuming a run from cloned automata must produce the
+  /// Optional POD-snapshot contract, for automata whose round-varying
+  /// state packs into a fixed number of plain bytes.  stateBytes(nullptr)
+  /// probes the snapshot size (0 = unsupported, the default);
+  /// stateBytes(out) writes exactly that many bytes of state and returns
+  /// the count; restoreBytes(in) reinstates a state previously written by
+  /// stateBytes ON THE SAME AUTOMATON INSTANCE (or one that went through the
+  /// same begin()) — construction-time parameters need not be included.
+  /// The size must be constant between begin() and the end of the run.
+  /// Restoring must leave the automaton behaviorally identical to the one
+  /// snapshotted: resuming a run from restored automata must produce the
   /// same messages, transitions and decisions as continuing the original
-  /// run (the checkpoint/resume machinery of RoundEngine depends on it; see
-  /// DESIGN.md §10).  Automata whose state is plain data implement this as
-  /// `return std::make_unique<Self>(*this);`.  The default opts out, which
-  /// disables prefix-resume (every run then executes from round 1) but
-  /// keeps every other engine feature working.
-  ///
-  /// Subclasses that add state MUST re-override this (and begin()): an
-  /// inherited clone() would return a sliced copy of the base.  The engine
-  /// detects that case (the clone's dynamic type differs) and falls back to
-  /// plain execution instead of resuming from the wrong automaton.
-  virtual std::unique_ptr<RoundAutomaton> clone() const { return nullptr; }
-
-  /// Optional POD-snapshot contract, the cheap sibling of clone() for
-  /// automata whose round-varying state packs into a fixed number of plain
-  /// bytes.  stateBytes(nullptr) probes the snapshot size (0 = unsupported,
-  /// the default); stateBytes(out) writes exactly that many bytes of state
-  /// and returns the count; restoreBytes(in) reinstates a state previously
-  /// written by stateBytes ON THE SAME AUTOMATON INSTANCE (or one that went
-  /// through the same begin()) — construction-time parameters need not be
-  /// included.  The size must be constant between begin() and the end of
-  /// the run.  RoundEngine uses this to turn checkpoints into flat memcpys
-  /// into pooled arena blocks instead of per-round heap clones.
+  /// run (RoundEngine's checkpoint/resume machinery depends on it; see
+  /// DESIGN.md §10).  An automaton that opts out (the default) disables
+  /// checkpoints — a run then executes from round 1 unless it reuses the
+  /// previous run whole — but keeps every other engine feature working.
   ///
   /// Subclasses that add ROUND-VARYING state MUST re-override all three of
   /// stateBytes / restoreBytes / stateBytesType (an inherited implementation
   /// would silently drop the subclass fields on restore, corrupting resumed
-  /// runs).  The clone() typeid tripwire cannot catch this case — a subclass
-  /// may legitimately override clone() yet forget the snapshot hooks — so
-  /// the POD contract carries its own: stateBytesType() names the exact
-  /// dynamic type the snapshot covers, and the engine engages the POD path
-  /// only when it equals typeid(*this).  A subclass that inherits the hooks
-  /// therefore gets the (safe, slower) clone path, never a sliced snapshot.
+  /// runs).  stateBytesType() is the tripwire: it names the exact dynamic
+  /// type the snapshot covers, and the engine engages checkpoints only when
+  /// it equals typeid(*this).  A subclass that inherits the hooks therefore
+  /// runs without checkpoints (safe, slower), never from a sliced snapshot.
   /// Subclasses whose extra state is a construction-time constant may keep
   /// the inherited byte layout but still re-state the type:
   /// `return &typeid(Self);`.

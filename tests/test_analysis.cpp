@@ -184,9 +184,9 @@ TEST(Analysis, ScheduleCellsAreLegalAndDeduplicated) {
 // --- the pooled interpreter -----------------------------------------------
 
 TEST(Analysis, InterpreterBoundsAreTheSameWithAndWithoutAnObserver) {
-  // With an observer every run is traced and executed from round 1; without
-  // one the pooled engine resumes each cell from its checkpoint chain.  The
-  // two paths must agree on every field.
+  // Both paths resume each cell from the pooled engine's checkpoint chain;
+  // they differ only in tracing: with an observer every run's deliveries
+  // are traced.  The two paths must agree on every field.
   for (const AlgorithmEntry& entry : algorithmRegistry()) {
     const RoundConfig cfg = canonicalAnalysisConfig(entry);
     std::int64_t observed = 0;

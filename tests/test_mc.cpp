@@ -122,20 +122,16 @@ TEST(EnumeratorBasics, AllInitialConfigs) {
 class NaiveEarlyFloodSet : public FloodSet {
  public:
   NaiveEarlyFloodSet() : FloodSet(false) {}
-  // The engine pools automata across runs (begin() must fully reset) and
-  // resumes from clones (clone() must preserve the dynamic type), so a
-  // subclass with extra state has to override both.  stateBytes /
+  // The engine pools automata across runs, so a subclass with extra state
+  // has to override begin() (it must fully reset).  stateBytes /
   // restoreBytes are deliberately NOT overridden: the inherited snapshot
   // would slice off hasPrev_/prevHeard_, and this test doubles as a check
   // that the engine's stateBytesType() tripwire detects the mismatch and
-  // falls back to clone checkpoints instead of corrupting resumed runs.
+  // runs without checkpoints instead of corrupting resumed runs.
   void begin(ProcessId self, const RoundConfig& cfg, Value initial) override {
     FloodSet::begin(self, cfg, initial);
     hasPrev_ = false;
     prevHeard_ = ProcessSet();
-  }
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<NaiveEarlyFloodSet>(*this);
   }
   void transition(
       const std::vector<std::optional<Payload>>& received) override {

@@ -180,20 +180,33 @@ void expectSameRun(const RoundRunResult& a, const RoundRunResult& b) {
   EXPECT_EQ(a.sentPerRound, b.sentPerRound);
   EXPECT_EQ(a.peakPendingInFlight, b.peakPendingInFlight);
   EXPECT_EQ(a.script.toString(), b.script.toString());
+  ASSERT_EQ(a.deliveries.size(), b.deliveries.size());
+  for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
+    const RoundDelivery& x = a.deliveries[i];
+    const RoundDelivery& y = b.deliveries[i];
+    EXPECT_EQ(x.src, y.src) << "delivery " << i;
+    EXPECT_EQ(x.dst, y.dst) << "delivery " << i;
+    EXPECT_EQ(x.sentRound, y.sentRound) << "delivery " << i;
+    EXPECT_EQ(x.deliveredRound, y.deliveredRound) << "delivery " << i;
+    EXPECT_EQ(x.payload, y.payload) << "delivery " << i;
+  }
 }
 
-RoundEngineOptions engineOptionsFor(const RoundConfig& cfg) {
+RoundEngineOptions engineOptionsFor(const RoundConfig& cfg, bool traced) {
   RoundEngineOptions eo;
   eo.horizon = cfg.t + 4;
+  eo.traceDeliveries = traced;
   return eo;
 }
 
 /// Feeds every script of a small space through ONE pooled engine (so runs
-/// reuse automata and checkpoints) and checks each result against a fresh
-/// single-use execution.  This is the engine-level bit-identity property.
-void runPooledVsFresh(const AlgorithmEntry& entry, const RoundConfig& cfg) {
+/// reuse automata and checkpoints) and checks each result, traced
+/// deliveries included, against a fresh single-use execution.  This is the
+/// engine-level bit-identity property.
+void runPooledVsFresh(const AlgorithmEntry& entry, const RoundConfig& cfg,
+                      bool traced) {
   const RoundModel model = entry.intendedModel;
-  const RoundEngineOptions eo = engineOptionsFor(cfg);
+  const RoundEngineOptions eo = engineOptionsFor(cfg, traced);
   RoundEngine engine(cfg, model, entry.factory, eo);
 
   EnumOptions o;
@@ -226,62 +239,73 @@ void runPooledVsFresh(const AlgorithmEntry& entry, const RoundConfig& cfg) {
 TEST(RoundEngineResume, PooledRunsMatchFreshRunsForEveryAlgorithm) {
   for (const AlgorithmEntry& entry : algorithmRegistry()) {
     const RoundConfig cfg = entry.requiresTLe1 ? cfgOf(3, 1) : cfgOf(3, 2);
-    runPooledVsFresh(entry, cfg);
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(entry.name + (traced ? " traced" : " untraced"));
+      runPooledVsFresh(entry, cfg, traced);
+    }
   }
 }
 
 TEST(RoundEngineResume, CheckpointResumeFiresOnDivergenceOrderedStream) {
   // FloodSet runs last t + 1 = 3 rounds, so consecutive scripts diverging
   // at rounds 2 and 3 must hit mid-run checkpoints, not just whole-run
-  // reuse.
+  // reuse — with and without traced deliveries.
   const AlgorithmEntry& entry = algorithmByName("FloodSet");
   const RoundConfig cfg = cfgOf(3, 2);
-  const RoundEngineOptions eo = engineOptionsFor(cfg);
-  RoundEngine engine(cfg, entry.intendedModel, entry.factory, eo);
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    const RoundEngineOptions eo = engineOptionsFor(cfg, traced);
+    RoundEngine engine(cfg, entry.intendedModel, entry.factory, eo);
 
-  EnumOptions o;
-  o.horizon = cfg.t + 1;
-  o.maxCrashes = cfg.t;
-  const std::vector<Value> initial{0, 1, 1};
-  forEachScript(cfg, entry.intendedModel, o, [&](const FailureScript& s) {
-    engine.execute(initial, s);
-    return true;
-  });
-  EXPECT_GT(engine.stats().roundsResumed, 0);
-  EXPECT_GT(engine.stats().runsExecuted, 0);
+    EnumOptions o;
+    o.horizon = cfg.t + 1;
+    o.maxCrashes = cfg.t;
+    const std::vector<Value> initial{0, 1, 1};
+    forEachScript(cfg, entry.intendedModel, o, [&](const FailureScript& s) {
+      engine.execute(initial, s);
+      return true;
+    });
+    EXPECT_GT(engine.stats().roundsResumed, 0);
+    EXPECT_GT(engine.stats().runsExecuted, 0);
+  }
 }
 
 TEST(RoundEngineResume, SnapshotAndResumeRoundTrip) {
   const AlgorithmEntry& entry = algorithmByName("FloodSetWS");
   const RoundConfig cfg = cfgOf(3, 2);
-  RoundEngineOptions eo;
-  eo.horizon = 4;
-  eo.stopWhenAllDecided = false;  // keep all 4 rounds (and 3 checkpoints)
-
   FailureScript script;
   script.crashes.push_back({2, 3, ProcessSet{0}});
   script.pendings.push_back({2, 1, 2, 3});
-
   const std::vector<Value> initial{0, 1, 1};
-  RoundEngine engine(cfg, entry.intendedModel, entry.factory, eo);
-  engine.execute(initial, script);
-  const RoundRunResult fresh =
-      runRounds(cfg, entry.intendedModel, entry.factory, initial, script, eo);
-  expectSameRun(engine.result(), fresh);
 
-  // Rounds 1..3 are snapshotted; the final round is not (a later run that
-  // agrees everywhere reuses the whole run without one).
-  for (Round r = 1; r <= 3; ++r) {
-    ASSERT_NE(engine.snapshotAt(r), nullptr) << "round " << r;
-    EXPECT_EQ(engine.snapshotAt(r)->round, r);
-  }
-  EXPECT_EQ(engine.snapshotAt(4), nullptr);
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    RoundEngineOptions eo;
+    eo.horizon = 4;
+    eo.stopWhenAllDecided = false;  // keep all 4 rounds (and 3 checkpoints)
+    eo.traceDeliveries = traced;
 
-  // Resuming from each checkpoint under the SAME script must reproduce the
-  // fresh run exactly.
-  for (Round r = 1; r <= 3; ++r) {
-    engine.resumeFrom(*engine.snapshotAt(r), script);
+    RoundEngine engine(cfg, entry.intendedModel, entry.factory, eo);
+    engine.execute(initial, script);
+    const RoundRunResult fresh = runRounds(cfg, entry.intendedModel,
+                                           entry.factory, initial, script, eo);
     expectSameRun(engine.result(), fresh);
+    EXPECT_EQ(fresh.deliveries.empty(), !traced);
+
+    // Rounds 1..3 are snapshotted; the final round is not (a later run that
+    // agrees everywhere reuses the whole run without one).
+    for (Round r = 1; r <= 3; ++r) {
+      ASSERT_NE(engine.snapshotAt(r), nullptr) << "round " << r;
+      EXPECT_EQ(engine.snapshotAt(r)->round, r);
+    }
+    EXPECT_EQ(engine.snapshotAt(4), nullptr);
+
+    // Resuming from each checkpoint under the SAME script must reproduce
+    // the fresh run exactly.
+    for (Round r = 1; r <= 3; ++r) {
+      engine.resumeFrom(*engine.snapshotAt(r), script);
+      expectSameRun(engine.result(), fresh);
+    }
   }
 }
 
@@ -329,7 +353,7 @@ TEST(RoundEngineResume, DivergenceRoundBasics) {
 TEST(RunExecutor, MemoizedSummariesMatchFreshRuns) {
   const AlgorithmEntry& entry = algorithmByName("FloodSetWS");
   const RoundConfig cfg = cfgOf(3, 2);
-  const RoundEngineOptions eo = engineOptionsFor(cfg);
+  const RoundEngineOptions eo = engineOptionsFor(cfg, false);
   const SymmetryGroup group(cfg.n, entry.symmetryFixedIds);
   RunMemo memo;
   const indep::PorSpec por = indep::porSpecFor(entry, cfg, eo.horizon);
@@ -374,7 +398,7 @@ TEST(RunExecutor, RecalledClassSummariesMatchMemoProbes) {
   // independence-class representatives.
   const AlgorithmEntry& entry = algorithmByName("FloodSetWS");
   const RoundConfig cfg = cfgOf(4, 2);
-  const RoundEngineOptions eo = engineOptionsFor(cfg);
+  const RoundEngineOptions eo = engineOptionsFor(cfg, false);
   const SymmetryGroup group(cfg.n, entry.symmetryFixedIds);
   indep::PorSpec por = indep::porSpecFor(entry, cfg, eo.horizon);
   por.replayEvery = 3;
